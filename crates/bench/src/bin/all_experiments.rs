@@ -1,4 +1,4 @@
-//! Regenerates every EXPERIMENTS.md table in one run.
+//! Prints every experiment table (README § Experiments) in one run.
 //! Set `PLANARTEST_QUICK=1` for CI-sized sweeps.
 fn main() {
     planartest_bench::run_all();

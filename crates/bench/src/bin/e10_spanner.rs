@@ -1,4 +1,4 @@
-//! Regenerates the e10 table of `EXPERIMENTS.md`.
+//! Prints the e10 table (README § Experiments).
 fn main() {
     planartest_bench::e10_spanner();
 }

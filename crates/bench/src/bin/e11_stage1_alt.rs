@@ -1,4 +1,4 @@
-//! Regenerates the e11 table of `EXPERIMENTS.md`.
+//! Prints the e11 table (README § Experiments).
 fn main() {
     planartest_bench::e11_stage1_alt();
 }

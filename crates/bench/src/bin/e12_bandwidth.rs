@@ -1,4 +1,4 @@
-//! Regenerates the e12 table of `EXPERIMENTS.md`.
+//! Prints the e12 table (README § Experiments).
 fn main() {
     planartest_bench::e12_bandwidth();
 }

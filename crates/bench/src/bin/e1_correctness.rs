@@ -1,4 +1,4 @@
-//! Regenerates the e1 table of `EXPERIMENTS.md`.
+//! Prints the e1 table (README § Experiments).
 fn main() {
     planartest_bench::e1_correctness();
 }

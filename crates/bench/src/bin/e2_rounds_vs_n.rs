@@ -1,4 +1,4 @@
-//! Regenerates the e2 table of `EXPERIMENTS.md`.
+//! Prints the e2 table (README § Experiments).
 fn main() {
     planartest_bench::e2_rounds_vs_n();
 }

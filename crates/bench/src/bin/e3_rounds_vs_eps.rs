@@ -1,4 +1,4 @@
-//! Regenerates the e3 table of `EXPERIMENTS.md`.
+//! Prints the e3 table (README § Experiments).
 fn main() {
     planartest_bench::e3_rounds_vs_eps();
 }

@@ -1,4 +1,4 @@
-//! Regenerates the e5 table of `EXPERIMENTS.md`.
+//! Prints the e5 table (README § Experiments).
 fn main() {
     planartest_bench::e5_diameter();
 }

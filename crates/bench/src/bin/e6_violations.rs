@@ -1,4 +1,4 @@
-//! Regenerates the e6 table of `EXPERIMENTS.md`.
+//! Prints the e6 table (README § Experiments).
 fn main() {
     planartest_bench::e6_violations();
 }

@@ -1,4 +1,4 @@
-//! Regenerates the e7 table of `EXPERIMENTS.md`.
+//! Prints the e7 table (README § Experiments).
 fn main() {
     planartest_bench::e7_lowerbound();
 }

@@ -1,4 +1,4 @@
-//! Regenerates the e9 table of `EXPERIMENTS.md`.
+//! Prints the e9 table (README § Experiments).
 fn main() {
     planartest_bench::e9_hereditary();
 }

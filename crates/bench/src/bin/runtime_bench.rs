@@ -1,13 +1,11 @@
-//! Serial-vs-parallel-vs-batched runtime benchmark; writes
-//! `BENCH_runtime.json`. Set `PLANARTEST_QUICK=1` for CI-sized runs,
-//! `PLANARTEST_THREADS=k` to cap the worker pools.
+//! Engine, tester, trial-sweep, batched-sweep and kernel runtime
+//! benchmark; writes `BENCH_runtime.json`. Set `PLANARTEST_QUICK=1` for
+//! CI-sized runs, `PLANARTEST_THREADS=k` to size the trial pool.
 //!
-//! With `--check`, exits non-zero when the regression gate fails —
-//! parallel at max threads losing to serial on the largest tester
-//! workload, the instance-multiplexed Monte-Carlo acceptance sweep
-//! dropping below the raised batched-vs-sequential floor
-//! ([`BenchGate::BATCH_SPEEDUP_FLOOR`]), or *any* SWAR kernel row
-//! losing to its scalar reference
+//! With `--check`, exits non-zero when the regression gate fails — the
+//! batched Monte-Carlo acceptance sweep dropping below the
+//! batched-vs-sequential floor ([`BenchGate::BATCH_SPEEDUP_FLOOR`]), or
+//! *any* SWAR kernel row losing to its scalar reference
 //! ([`BenchGate::KERNEL_SPEEDUP_FLOOR`]). This is the CI performance
 //! gate.
 //!
@@ -19,37 +17,24 @@ use planartest_bench::BenchGate;
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let gate = planartest_bench::runtime_bench();
-    if check && !gate.pass() {
-        eprintln!(
-            "benchmark gate FAILED: parallel speedup {:.3}x on the largest tester \
-             workload (n={}, must be >= 1.0; vacuous on 1 hardware thread), \
-             batched sweep speedup {:.3}x over sequential ({} trials, must be \
-             >= {:.2}), worst kernel `{}` at {:.3}x vs scalar (every kernel \
-             must be >= {:.2})",
-            gate.speedup,
-            gate.largest_n,
-            gate.batch_speedup,
-            gate.batch_trials,
-            BenchGate::BATCH_SPEEDUP_FLOOR,
-            gate.min_kernel,
-            gate.min_kernel_speedup,
-            BenchGate::KERNEL_SPEEDUP_FLOOR
-        );
-        std::process::exit(1);
+    if !check {
+        return;
     }
-    if check {
-        println!(
-            "benchmark gate passed: parallel speedup {:.3}x on n={}, batched sweep \
-             {:.3}x over sequential ({} trials, floor {:.2}), worst kernel `{}` \
-             {:.3}x vs scalar (floor {:.2})",
-            gate.speedup,
-            gate.largest_n,
-            gate.batch_speedup,
-            gate.batch_trials,
-            BenchGate::BATCH_SPEEDUP_FLOOR,
-            gate.min_kernel,
-            gate.min_kernel_speedup,
-            BenchGate::KERNEL_SPEEDUP_FLOOR
-        );
+    let verdict = if gate.pass() { "passed" } else { "FAILED" };
+    let summary = format!(
+        "benchmark gate {verdict}: batched sweep {:.3}x over sequential ({} trials, \
+         floor {:.2}), worst kernel `{}` {:.3}x vs scalar (floor {:.2})",
+        gate.batch_speedup,
+        gate.batch_trials,
+        BenchGate::BATCH_SPEEDUP_FLOOR,
+        gate.min_kernel,
+        gate.min_kernel_speedup,
+        BenchGate::KERNEL_SPEEDUP_FLOOR
+    );
+    if gate.pass() {
+        println!("{summary}");
+    } else {
+        eprintln!("{summary}");
+        std::process::exit(1);
     }
 }

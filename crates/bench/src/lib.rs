@@ -1,5 +1,6 @@
-//! Experiment harness for `EXPERIMENTS.md`: workload construction,
-//! sweeps, and the table printers behind the `e1`–`e13` binaries.
+//! Experiment harness for the README's Experiments table: workload
+//! construction, sweeps, and the table printers behind the `e1`–`e13`
+//! binaries.
 //!
 //! Every experiment is a plain function so the `all_experiments` binary
 //! (and tests) can run them programmatically; binaries are thin wrappers.
@@ -546,7 +547,6 @@ pub fn e12_bandwidth() {
         for w in [2usize, 4, 8] {
             let sim = SimConfig {
                 max_words_per_message: w,
-                ..SimConfig::default()
             };
             let cfg = practical_cfg(0.1).with_phases(6);
             let out = PlanarityTester::new(cfg)

@@ -1,7 +1,9 @@
-//! Runtime benchmark: serial vs parallel engine throughput, tester
-//! n-sweeps, and trial-parallel sweep scaling — written both as a
-//! human-readable table and as machine-readable `BENCH_runtime.json`
-//! so the performance trajectory is tracked from PR to PR.
+//! Runtime benchmark: engine flood throughput, the tester's wall-clock
+//! vs `n`, trial-parallel sweep scaling, batched vs sequential
+//! Monte-Carlo sweeps and the SWAR kernel microbenchmarks — written
+//! both as a human-readable table and as machine-readable
+//! `BENCH_runtime.json` so the performance trajectory is tracked from
+//! PR to PR.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -10,16 +12,13 @@ use planartest_core::stage2::pack;
 use planartest_core::{PlanarityTester, TestOutcome};
 use planartest_graph::generators::planar;
 use planartest_graph::{Graph, NodeId};
-use planartest_sim::runtime::{auto_threads, Backend, TrialRunner};
-use planartest_sim::{
-    Engine, LaneBits, Msg, NodeLogic, Outbox, ParallelEngine, ParallelNodeLogic, SimConfig,
-};
+use planartest_sim::runtime::TrialRunner;
+use planartest_sim::{Engine, LaneBits, Msg, NodeLogic, Outbox, SimConfig};
 
 use crate::json::Json;
 use crate::quick;
 
-/// The flood workload used for raw engine throughput, expressed both
-/// ways so each engine runs its native logic form.
+/// The flood workload used for raw engine throughput.
 struct FloodLogic {
     seen: Vec<bool>,
 }
@@ -39,32 +38,13 @@ impl NodeLogic for FloodLogic {
     }
 }
 
-struct FloodProgram;
-
-impl ParallelNodeLogic for FloodProgram {
-    type State = bool;
-    fn init(&self, node: NodeId, seen: &mut bool, out: &mut Outbox<'_>) {
-        if node.index() == 0 {
-            *seen = true;
-            out.send_all(Msg::words(&[1]));
-        }
-    }
-    fn round(&self, _: NodeId, seen: &mut bool, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
-        if !*seen && !inbox.is_empty() {
-            *seen = true;
-            out.send_all(Msg::words(&[1]));
-        }
-    }
-}
-
 /// Median-of-`reps` wall-clock seconds for `f` (quick mode: 1 rep).
 fn time_median<F: FnMut()>(f: F) -> f64 {
     time_median_reps(if quick() { 1 } else { 3 }, f)
 }
 
 /// Median-of-`reps` wall-clock seconds for `f` with an explicit rep
-/// count (the gated measurements keep 3 reps even in quick mode, so a
-/// single noisy sample can't flip the CI gate).
+/// count.
 fn time_median_reps<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
@@ -77,165 +57,60 @@ fn time_median_reps<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Thread counts to sweep: 1, 2, 4, … up to the hardware (always
-/// includes the hardware count itself).
-fn thread_sweep() -> Vec<usize> {
-    let max = auto_threads();
-    let mut counts = vec![1];
-    let mut t = 2;
-    while t < max {
-        counts.push(t);
-        t *= 2;
-    }
-    if max > 1 {
-        counts.push(max);
-    }
-    counts.dedup();
-    counts
-}
-
 /// Raw engine throughput on a flood over a triangulated grid
-/// (`n = side²`): serial engine vs worker pool at each thread count.
+/// (`n = side²`).
 fn engine_throughput(side: usize) -> Json {
     let fam = planar::triangulated_grid(side, side);
     let g = &fam.graph;
 
-    let mut serial_rounds = 0u64;
-    let serial_secs = time_median(|| {
+    let mut rounds = 0u64;
+    let secs = time_median(|| {
         let mut engine = Engine::new(g, SimConfig::default());
         let mut logic = FloodLogic {
             seen: vec![false; g.n()],
         };
-        serial_rounds = engine.run(&mut logic, 1_000_000).expect("flood").rounds;
+        rounds = engine.run(&mut logic, 1_000_000).expect("flood").rounds;
     });
     println!(
-        "engine flood   n={:<6} serial                 {:>10.1} rounds/s ({serial_rounds} rounds)",
+        "engine flood   n={:<6} {:>10.1} rounds/s ({rounds} rounds)",
         g.n(),
-        serial_rounds as f64 / serial_secs
+        rounds as f64 / secs
     );
-
-    let mut parallel = Vec::new();
-    for threads in thread_sweep() {
-        let mut rounds = 0u64;
-        let secs = time_median(|| {
-            let mut engine = ParallelEngine::new(g, SimConfig::default()).with_threads(threads);
-            let mut states = vec![false; g.n()];
-            rounds = engine
-                .run(&FloodProgram, &mut states, 1_000_000)
-                .expect("flood")
-                .rounds;
-        });
-        assert_eq!(rounds, serial_rounds, "backends must agree on round count");
-        let speedup = serial_secs / secs;
-        println!(
-            "engine flood   n={:<6} parallel(threads={:<2}) {:>10.1} rounds/s (speedup {speedup:.2}x)",
-            g.n(),
-            threads,
-            rounds as f64 / secs
-        );
-        parallel.push(
-            Json::obj()
-                .field("threads", threads)
-                .field("seconds", secs)
-                .field("rounds_per_sec", rounds as f64 / secs)
-                .field("speedup_vs_serial", speedup),
-        );
-    }
-
     Json::obj()
         .field("workload", "flood_triangulated_grid")
         .field("n", g.n())
         .field("m", g.m())
-        .field("rounds", serial_rounds)
-        .field(
-            "serial",
-            Json::obj()
-                .field("seconds", serial_secs)
-                .field("rounds_per_sec", serial_rounds as f64 / serial_secs),
-        )
-        .field("parallel", parallel)
+        .field("rounds", rounds)
+        .field("seconds", secs)
+        .field("rounds_per_sec", rounds as f64 / secs)
 }
 
-/// Measures one tester workload on the three backends; returns the row
-/// plus the parallel-vs-serial speedup. `reps` overrides the default
-/// rep policy (the CI gate keeps 3 reps even in quick mode so one
-/// noisy sample can't flip it).
-fn tester_workload(side: usize, reps: usize) -> (Json, f64) {
+/// Measures one tester pass on a triangulated grid (`n = side²`).
+fn tester_workload(side: usize) -> Json {
     let fam = planar::triangulated_grid(side, side);
     let g = &fam.graph;
     let cfg = crate::practical_cfg(0.1);
     let mut rounds = 0u64;
-    let serial_secs = time_median_reps(reps, || {
-        let out = PlanarityTester::new(cfg.clone())
-            .with_backend(Backend::Serial)
-            .run(g)
-            .expect("run");
+    let secs = time_median(|| {
+        let out = PlanarityTester::new(cfg.clone()).run(g).expect("run");
         assert!(out.accepted());
         rounds = out.rounds();
     });
-    let parallel_secs = time_median_reps(reps, || {
-        let out = PlanarityTester::new(cfg.clone())
-            .with_backend(Backend::Parallel { threads: 0 })
-            .run(g)
-            .expect("run");
-        assert!(out.accepted());
-        assert_eq!(out.rounds(), rounds, "backends must agree");
-    });
-    let auto_secs = time_median(|| {
-        let out = PlanarityTester::new(cfg.clone())
-            .with_backend(Backend::Auto)
-            .run(g)
-            .expect("run");
-        assert!(out.accepted());
-        assert_eq!(out.rounds(), rounds, "backends must agree");
-    });
-    let speedup = serial_secs / parallel_secs;
     println!(
-        "tester sweep   n={:<6} serial {serial_secs:>8.3}s  parallel {parallel_secs:>8.3}s \
-         (speedup {speedup:.2}x)  auto {auto_secs:>8.3}s  ({rounds} rounds)",
+        "tester sweep   n={:<6} {secs:>8.3}s  ({rounds} rounds)",
         g.n()
     );
-    let row = Json::obj()
+    Json::obj()
         .field("n", g.n())
         .field("m", g.m())
         .field("rounds", rounds)
-        .field("serial_seconds", serial_secs)
-        .field("parallel_seconds", parallel_secs)
-        .field("speedup_vs_serial", speedup)
-        .field("auto_seconds", auto_secs);
-    (row, speedup)
+        .field("seconds", secs)
 }
 
-/// Tester wall-clock vs `n`: serial backend vs parallel-at-max-threads
-/// vs the default `Auto` backend. Returns the rows plus the
-/// parallel-vs-serial speedup and size of the gated (largest) instance.
-///
-/// The largest instance — the CI gate — is sized to at least
-/// [`Backend::AUTO_MIN_NODES`] in *both* modes: below that width the
-/// code's own `Auto` calibration says pooled execution loses to serial,
-/// so gating a smaller workload would demand a speedup the design
-/// itself does not promise.
-fn tester_n_sweep() -> (Json, f64, usize) {
-    let sides: Vec<usize> = if quick() {
-        vec![8, 16, 48]
-    } else {
-        vec![16, 32, 64]
-    };
-    let gate_side = *sides.last().expect("non-empty sweep");
-    assert!(
-        gate_side * gate_side >= Backend::AUTO_MIN_NODES,
-        "gated workload narrower than the Auto pool threshold"
-    );
-    let mut rows = Vec::new();
-    let (mut largest_speedup, mut largest_n) = (f64::NAN, 0);
-    for side in sides {
-        let reps = if side == gate_side || !quick() { 3 } else { 1 };
-        let (row, speedup) = tester_workload(side, reps);
-        largest_speedup = speedup;
-        largest_n = side * side;
-        rows.push(row);
-    }
-    (Json::Arr(rows), largest_speedup, largest_n)
+/// Tester wall-clock vs `n`.
+fn tester_n_sweep() -> Json {
+    let sides: &[usize] = if quick() { &[8, 16, 48] } else { &[16, 32, 64] };
+    Json::Arr(sides.iter().map(|&side| tester_workload(side)).collect())
 }
 
 /// Trial-parallel Monte-Carlo sweep (the e1 workload shape): the same
@@ -576,17 +451,13 @@ fn kernel_bench() -> (Json, f64, &'static str) {
 }
 
 /// The CI regression gate computed alongside the benchmark document:
-/// the parallel backend at max threads must not lose to serial on the
-/// largest `tester_n_sweep` workload, and the instance-multiplexed
-/// Monte-Carlo sweep must not lose to the sequential-per-instance path.
+/// the batched Monte-Carlo sweep must clear
+/// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR) over the
+/// sequential-per-instance path, and every SWAR kernel must clear
+/// [`KERNEL_SPEEDUP_FLOOR`](Self::KERNEL_SPEEDUP_FLOOR) over its scalar
+/// reference. Neither clause depends on the host's core count.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchGate {
-    /// Node count of the gated (largest) tester workload.
-    pub largest_n: usize,
-    /// Serial wall-clock over parallel wall-clock on that workload.
-    pub speedup: f64,
-    /// Worker threads the parallel measurement resolved to.
-    pub max_threads: usize,
     /// Trials in the gated batched acceptance sweep.
     pub batch_trials: usize,
     /// Sequential-per-instance wall-clock over batched wall-clock on
@@ -622,57 +493,84 @@ impl BenchGate {
     /// here, as it should).
     pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.0;
 
-    /// Whether the gate passes: the parallel speedup at or above parity
-    /// and the batch speedup at or above
-    /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR). On a
-    /// single-hardware-thread machine there is no pool to gate — the
-    /// "parallel" run takes the same inline path as serial, so that
-    /// ratio is pure timing noise and its clause is vacuously true. The
-    /// batching clause is *never* vacuous: multiplexing pays off on one
-    /// thread (that is the point — the round-loop fixed cost amortizes,
-    /// no pool required).
+    /// Whether the gate passes: the batch speedup at or above
+    /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR) and every
+    /// kernel at or above
+    /// [`KERNEL_SPEEDUP_FLOOR`](Self::KERNEL_SPEEDUP_FLOOR).
     #[must_use]
     pub fn pass(&self) -> bool {
-        (self.max_threads <= 1 || self.speedup >= 1.0)
-            && self.batch_speedup >= Self::BATCH_SPEEDUP_FLOOR
+        self.batch_speedup >= Self::BATCH_SPEEDUP_FLOOR
             && self.min_kernel_speedup >= Self::KERNEL_SPEEDUP_FLOOR
     }
+}
+
+/// Logical cores the OS offers this process (ignores
+/// `PLANARTEST_THREADS`, which only sizes the pool).
+fn logical_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Physical cores — distinct `(physical id, core id)` pairs in
+/// `/proc/cpuinfo` — or `None` where that file is absent or silent.
+fn physical_cores() -> Option<usize> {
+    let text = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let mut cores = std::collections::BTreeSet::new();
+    let mut package = "";
+    for line in text.lines() {
+        let Some((key, value)) = line.split_once(':') else {
+            continue;
+        };
+        match key.trim() {
+            "physical id" => package = value.trim(),
+            "core id" => {
+                cores.insert((package, value.trim()));
+            }
+            _ => {}
+        }
+    }
+    (!cores.is_empty()).then_some(cores.len())
+}
+
+/// The host the document was measured on.
+fn host_record() -> Json {
+    Json::obj()
+        .field("logical_cores", logical_cores())
+        .field(
+            "physical_cores",
+            physical_cores().map_or(Json::Null, Json::from),
+        )
+        .field(
+            "PLANARTEST_THREADS",
+            std::env::var("PLANARTEST_THREADS").map_or(Json::Null, Json::from),
+        )
 }
 
 /// Builds the full benchmark document (also printed as tables) and the
 /// CI gate derived from it.
 #[must_use]
 pub fn runtime_bench_document() -> (Json, BenchGate) {
-    println!("\n## runtime benchmark (serial vs parallel vs batched)");
+    println!("\n## runtime benchmark (engine, tester, trials, batched, kernels)");
     let side = if quick() { 24 } else { 64 };
-    let (tester_rows, speedup, largest_n) = tester_n_sweep();
     let (batch_row, batch_speedup, batch_trials) = batch_sweep();
     let (kernel_rows, min_kernel_speedup, min_kernel) = kernel_bench();
     let gate = BenchGate {
-        largest_n,
-        speedup,
-        max_threads: auto_threads(),
         batch_trials,
         batch_speedup,
         min_kernel_speedup,
         min_kernel,
     };
     let doc = Json::obj()
-        .field("schema", "planartest-bench/runtime/v2")
+        .field("schema", "planartest-bench/runtime/v3")
         .field("quick_mode", quick())
-        .field("hardware_threads", auto_threads())
+        .field("host", host_record())
         .field("engine_throughput", engine_throughput(side))
         .field("kernel_bench", kernel_rows)
-        .field("tester_n_sweep", tester_rows)
+        .field("tester_n_sweep", tester_n_sweep())
         .field("trial_sweep", trial_sweep())
         .field("batch_sweep", batch_row)
         .field(
             "gate",
             Json::obj()
-                .field("workload", "tester_n_sweep_largest")
-                .field("n", gate.largest_n)
-                .field("max_threads", gate.max_threads)
-                .field("parallel_speedup_at_max_threads", gate.speedup)
                 .field("batch_trials", gate.batch_trials)
                 .field("batch_speedup_vs_sequential", gate.batch_speedup)
                 .field("batch_speedup_floor", BenchGate::BATCH_SPEEDUP_FLOOR)
@@ -699,76 +597,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn thread_sweep_starts_at_one() {
-        let sweep = thread_sweep();
-        assert_eq!(sweep[0], 1);
-        assert!(sweep.iter().all(|&t| t >= 1));
-        assert!(sweep.contains(&auto_threads()) || auto_threads() == 1);
+    fn tester_workload_row_has_required_fields() {
+        // One tiny workload exercises the row builder; the full document
+        // is too heavy for a debug-build test and runs for real in CI
+        // via `runtime_bench --check` on the release binary.
+        let text = tester_workload(4).pretty();
+        for key in ["n", "m", "rounds", "seconds"] {
+            assert!(
+                text.contains(&format!("\"{key}\"")),
+                "missing {key} in {text}"
+            );
+        }
     }
 
     #[test]
-    fn tester_workload_row_has_required_fields() {
-        // One tiny workload exercises the row builder and all three
-        // backends; the full document (with the gate-sized instance) is
-        // too heavy for a debug-build test and runs for real in CI via
-        // `runtime_bench --check` on the release binary.
-        let (row, speedup) = tester_workload(4, 1);
-        let text = row.pretty();
-        for key in [
-            "rounds",
-            "serial_seconds",
-            "parallel_seconds",
-            "speedup_vs_serial",
-            "auto_seconds",
-        ] {
+    fn host_record_names_the_cores() {
+        let text = host_record().pretty();
+        for key in ["logical_cores", "physical_cores", "PLANARTEST_THREADS"] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
-        assert!(speedup.is_finite() && speedup > 0.0);
-    }
-
-    #[test]
-    fn gate_workload_is_wide_enough_for_the_pool() {
-        // Both mode's largest sweep instance must be at least as wide
-        // as the Auto pool threshold — gating a narrower workload would
-        // demand a speedup the backend's own calibration rejects.
-        for largest_side in [48usize, 64] {
-            assert!(largest_side * largest_side >= Backend::AUTO_MIN_NODES);
-        }
+        assert!(logical_cores() >= 1);
+        assert_ne!(physical_cores(), Some(0));
     }
 
     #[test]
     fn gate_thresholds() {
         let floor = BenchGate::BATCH_SPEEDUP_FLOOR;
-        assert!(
-            floor > 3.36,
-            "the batch gate must stay above the pre-flip ratio"
-        );
-        let gate = |speedup: f64, max_threads: usize, batch_speedup: f64| BenchGate {
-            largest_n: 1,
-            speedup,
-            max_threads,
+        assert_eq!(floor, 4.0);
+        assert_eq!(BenchGate::KERNEL_SPEEDUP_FLOOR, 1.0);
+        let gate = |batch_speedup: f64, min_kernel_speedup: f64| BenchGate {
             batch_trials: 8,
             batch_speedup,
-            min_kernel_speedup: 1.2,
+            min_kernel_speedup,
             min_kernel: "label_pack_16bit",
         };
-        assert!(gate(1.0, 4, floor).pass());
-        assert!(!gate(0.99, 4, floor).pass());
-        // One hardware thread: no pool to gate, noise must not fail CI.
-        assert!(gate(0.99, 1, floor).pass());
-        // The batching clause is never vacuous — multiplexing must
-        // clear the raised floor even on one thread.
-        assert!(!gate(1.0, 1, floor - 0.01).pass());
-        assert!(!gate(1.0, 1, 1.0).pass());
-        assert!(gate(1.0, 1, floor + 0.5).pass());
+        assert!(gate(floor, 1.0).pass());
+        assert!(gate(floor + 0.5, 1.2).pass());
+        // The batching clause must clear the raised floor.
+        assert!(!gate(floor - 0.01, 1.2).pass());
+        assert!(!gate(1.0, 1.2).pass());
         // Every SWAR kernel must at least match its scalar reference:
         // the historical 0.83x pack regression fails the gate.
-        let slow = BenchGate {
-            min_kernel_speedup: 0.83,
-            ..gate(1.0, 4, floor)
-        };
-        assert!(!slow.pass());
-        assert_eq!(BenchGate::KERNEL_SPEEDUP_FLOOR, 1.0);
+        assert!(!gate(floor, 0.83).pass());
     }
 
     #[test]

@@ -12,26 +12,25 @@
 //!   multi-message movement down/up part trees (used for candidate
 //!   lists, labels and sampled edges, which exceed one message of
 //!   bandwidth), serving any number of independent instances through
-//!   the instance-multiplexed executor (a batch of one is a plain
-//!   single run).
+//!   [`Engine::run_batch`](planartest_sim::Engine::run_batch) (a batch
+//!   of one is a plain single run).
 
 use std::collections::VecDeque;
 
 use planartest_graph::NodeId;
 use planartest_sim::tree::TreeTopology;
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::{Msg, NodeLogic, Outbox, RunReport, SimError};
 
 /// One round in which every node sends `msg_for(v, w)` to each neighbour
 /// `w` (skipping `None`s); returns what each node received as
 /// `(from, msg)` pairs sorted by sender.
-pub fn exchange<'g, E, F>(
-    engine: &mut E,
+pub fn exchange<F>(
+    engine: &mut Engine<'_>,
     mut msg_for: F,
     max_rounds: u64,
 ) -> Result<Vec<Vec<(NodeId, Msg)>>, SimError>
 where
-    E: EngineCore<'g>,
     F: FnMut(NodeId, NodeId) -> Option<Msg>,
 {
     struct Logic<'f, F> {
@@ -60,7 +59,7 @@ where
         msg_for: &mut msg_for,
         received: vec![Vec::new(); n],
     };
-    engine.run_logic(&mut logic, max_rounds)?;
+    engine.run(&mut logic, max_rounds)?;
     for r in &mut logic.received {
         r.sort_by_key(|&(from, _)| from);
     }
@@ -210,8 +209,8 @@ impl NodeLogic for CensusLogic<'_> {
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s.
-pub fn census<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn census(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     local_items: &[Vec<(u32, u64)>],
     cap: usize,
@@ -237,7 +236,7 @@ pub fn census<'g, E: EngineCore<'g>>(
             logic.overflow[v] = true;
         }
     }
-    engine.run_logic(&mut logic, max_rounds)?;
+    engine.run(&mut logic, max_rounds)?;
     Ok(logic.result)
 }
 
@@ -284,8 +283,7 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
 /// message list flows down its tree in FIFO order, one message per edge
 /// per round; every node receives its root's list (roots' own payloads
 /// are *not* echoed back to themselves). The instances execute through
-/// the instance-multiplexed executor
-/// ([`EngineCore::run_logic_batch`]); each returned [`RunReport`] is
+/// [`Engine::run_batch`]; each returned [`RunReport`] is
 /// bit-for-bit what that instance's sequential run would report.
 ///
 /// Cost per instance: `height + k` rounds for `k` messages.
@@ -294,8 +292,8 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
 ///
 /// Propagates the first instance's engine [`SimError`] (instances are
 /// independent; an error is a protocol/infrastructure bug, not data).
-pub fn stream_broadcast_batch<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn stream_broadcast_batch(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     payloads: Vec<Vec<Vec<Msg>>>,
     max_rounds: u64,
@@ -315,7 +313,7 @@ pub fn stream_broadcast_batch<'g, E: EngineCore<'g>>(
             }
         })
         .collect();
-    let results = engine.run_logic_batch(&mut logics, max_rounds);
+    let results = engine.run_batch(&mut logics, max_rounds);
     results
         .into_iter()
         .zip(logics)
@@ -383,8 +381,7 @@ impl NodeLogic for UpStreamLogic<'_> {
 ///
 /// This is the Stage-II hot path for serving many Monte-Carlo seeds at
 /// once: the per-seed sample streams are the only seed-dependent engine
-/// runs of the tester, and here they ride one multiplexed executor
-/// ([`EngineCore::run_logic_batch`]).
+/// runs of the tester, and here they ride one [`Engine::run_batch`].
 ///
 /// Cost per instance: `O(height + total items through the busiest
 /// edge)` rounds.
@@ -392,8 +389,8 @@ impl NodeLogic for UpStreamLogic<'_> {
 /// # Errors
 ///
 /// Propagates the first instance's engine [`SimError`].
-pub fn up_stream_batch<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn up_stream_batch(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     items: Vec<Vec<Vec<Msg>>>,
     max_rounds: u64,
@@ -407,7 +404,7 @@ pub fn up_stream_batch<'g, E: EngineCore<'g>>(
             collected: vec![Vec::new(); n],
         })
         .collect();
-    let results = engine.run_logic_batch(&mut logics, max_rounds);
+    let results = engine.run_batch(&mut logics, max_rounds);
     results
         .into_iter()
         .zip(logics)

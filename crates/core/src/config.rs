@@ -4,15 +4,16 @@ use planartest_embed::RotationSystem;
 use planartest_graph::fingerprint::{Digest, Fingerprint};
 
 /// How Stage II obtains the per-part combinatorial embedding (the
-/// Ghaffari–Haeupler substitution; `DESIGN.md` §3).
+/// Ghaffari–Haeupler substitution; see the round/bandwidth budget
+/// table of `docs/ARCHITECTURE.md`).
 #[derive(Debug, Clone, Default)]
 pub enum EmbeddingMode {
     /// Paper-faithful §2.2 behaviour: embed with Demoucron; when a part is
     /// non-planar, hand out a best-effort ordering and let the
     /// violation-detection step do the rejecting. **Not one-sided**: our
     /// reproduction refutes Claim 10 (planar graphs can carry violating
-    /// labellings — see `EXPERIMENTS.md` E6), so this mode can reject
-    /// planar inputs. Kept for measuring the paper's mechanism.
+    /// labellings — see the README's experiment E6), so this mode can
+    /// reject planar inputs. Kept for measuring the paper's mechanism.
     Demoucron,
     /// The sound default: a part that the embedder proves non-planar makes
     /// its root reject (the paper's "this constitutes evidence that `Gj`

@@ -257,8 +257,8 @@ mod tests {
 
     /// **Claim 10 refutation.** The paper asserts that a planar part with
     /// an embedding-consistent labelling has no violating edges. Our
-    /// reproduction found a 7-node planar counterexample (see
-    /// `EXPERIMENTS.md` E6): with BFS parent 1 for the vertex stacked
+    /// reproduction found a 7-node planar counterexample (see the
+    /// README's experiment E6): with BFS parent 1 for the vertex stacked
     /// into face {1,2,5}, the pairs (6,2)×(1,5) and (6,5)×(1,2) cannot
     /// both be non-interleaving — one needs ℓ(5)<ℓ(2), the other the
     /// reverse — so *every* labelling of this planar graph has a

@@ -5,7 +5,8 @@
 //! These are computed from root-local knowledge (each part root knows its
 //! selected out-edge, its colour, and aggregates over its `F_i`-children);
 //! the corresponding CONGEST cost is a constant number of `F_i`-hops, each
-//! `2·depth + 2` rounds, charged by the caller (see `DESIGN.md` §3).
+//! `2·depth + 2` rounds, charged by the caller (see the round/bandwidth
+//! budget table of `docs/ARCHITECTURE.md`).
 
 use std::collections::HashMap;
 

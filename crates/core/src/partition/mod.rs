@@ -17,7 +17,8 @@
 //! (Cole–Vishkin colouring of `F_i`, marking, subtree levelling and the
 //! contraction surgery of Lemma 6) is computed from root-local knowledge
 //! and *charged* rounds according to the paper's own cost accounting
-//! (`O(1)` `F_i`-hops, each `2·depth + 2` rounds) — see `DESIGN.md` §3.
+//! (`O(1)` `F_i`-hops, each `2·depth + 2` rounds) — see the
+//! round/bandwidth budget table of `docs/ARCHITECTURE.md`.
 
 pub(crate) mod aux;
 mod forest;
@@ -26,7 +27,7 @@ pub mod randomized;
 
 use planartest_graph::{Graph, NodeId};
 use planartest_sim::tree::TreeTopology;
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::Msg;
 
 use crate::comm;
@@ -141,10 +142,7 @@ impl Partition {
 ///
 /// Returns infrastructure errors only; rejection is reported in the
 /// returned [`Partition`].
-pub fn run_partition<'g, E: EngineCore<'g>>(
-    engine: &mut E,
-    cfg: &TesterConfig,
-) -> Result<Partition, CoreError> {
+pub fn run_partition(engine: &mut Engine<'_>, cfg: &TesterConfig) -> Result<Partition, CoreError> {
     let g = engine.graph();
     let mut state = PartitionState::singletons(g);
     let mut rejected: Vec<NodeId> = Vec::new();
@@ -210,8 +208,8 @@ pub fn run_partition<'g, E: EngineCore<'g>>(
 }
 
 /// One exchange round: every node learns `(neighbour, neighbour's root)`.
-pub(crate) fn exchange_roots<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub(crate) fn exchange_roots(
+    engine: &mut Engine<'_>,
     state: &PartitionState,
     max_rounds: u64,
 ) -> Result<Vec<Vec<(NodeId, u32)>>, CoreError> {

@@ -7,7 +7,8 @@
 //!    broadcast, message-level); reject if `m > 3n − 6`;
 //! 3. compute a combinatorial embedding (the Ghaffari–Haeupler
 //!    substitution: Demoucron at the root or a verified hint, with the
-//!    rounds charged per \[22\]'s bound — `DESIGN.md` §3);
+//!    rounds charged per \[22\]'s bound — see the round/bandwidth
+//!    budget table of `docs/ARCHITECTURE.md`);
 //! 4. derive edge labels from the embedding and distribute vertex labels
 //!    down the tree (message-level, pipelined — labels are `Θ(depth)`
 //!    words long);
@@ -29,7 +30,7 @@ use planartest_embed::RotationSystem;
 use planartest_graph::{EdgeId, Graph, NodeId};
 use planartest_sim::bfs::distributed_bfs;
 use planartest_sim::tree::{broadcast, convergecast};
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::Msg;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +71,7 @@ pub struct Stage2Outcome {
     /// [`EmbeddingMode::Demoucron`] mode these also reject; in the sound
     /// modes they are telemetry only, because our reproduction shows
     /// planar graphs can carry violating labellings (Claim 10 refutation,
-    /// `EXPERIMENTS.md` E6).
+    /// the README's experiment E6).
     pub violation_witnesses: Vec<NodeId>,
     /// Per-part reports.
     pub parts: Vec<PartReport>,
@@ -104,8 +105,8 @@ pub struct Stage2Batch {
 ///
 /// Infrastructure errors only ([`CoreError`]); verdicts are reported in
 /// the outcome.
-pub fn run_stage2<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn run_stage2(
+    engine: &mut Engine<'_>,
     cfg: &TesterConfig,
     state: &PartitionState,
 ) -> Result<Stage2Outcome, CoreError> {
@@ -120,9 +121,8 @@ pub fn run_stage2<'g, E: EngineCore<'g>>(
 /// embedding, label distribution and label exchange — is
 /// seed-independent and runs **once**, with every instance credited its
 /// full cost. The seed-dependent sample streams (ship sampled intervals
-/// to the roots, broadcast them back down) run as lockstep lanes of the
-/// instance-multiplexed executor
-/// ([`planartest_sim::runtime::batch`]), so each instance's verdict and
+/// to the roots, broadcast them back down) run as the instances of
+/// [`Engine::run_batch`], so each instance's verdict and
 /// statistics are bit-for-bit what a sequential `run_stage2` with that
 /// seed produces.
 ///
@@ -131,8 +131,8 @@ pub fn run_stage2<'g, E: EngineCore<'g>>(
 /// Infrastructure errors only ([`CoreError`]); fails fast if any
 /// instance errs (e.g. a `1/poly(n)` sample overflow — rerun with other
 /// seeds).
-pub fn run_stage2_many<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn run_stage2_many(
+    engine: &mut Engine<'_>,
     cfg: &TesterConfig,
     seeds: &[u64],
     state: &PartitionState,
@@ -339,9 +339,9 @@ pub fn run_stage2_many<'g, E: EngineCore<'g>>(
         all_sampled_per_part.push(sampled_per_part);
     }
 
-    // Ship every instance's samples to the roots in lockstep, then
-    // broadcast each sample set back down — the only seed-dependent
-    // engine runs, multiplexed through the batch executor.
+    // Ship every instance's samples to the roots, then broadcast each
+    // sample set back down — the only seed-dependent engine runs, one
+    // batch instance per seed.
     let collected = crate::comm::up_stream_batch(engine, &tree, all_sample_items, max_rounds)?;
     let mut all_down_payloads: Vec<Vec<Vec<Msg>>> = Vec::with_capacity(seeds.len());
     let mut all_root_samples: Vec<HashMap<u32, Vec<LabeledEdge>>> = Vec::with_capacity(seeds.len());

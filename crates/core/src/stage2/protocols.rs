@@ -3,17 +3,17 @@
 //!
 //! Both protocols are **batch-native**: the `_batch` entry points drive
 //! any number of independent instances (each with its own tree /
-//! digit assignment / edge assignment) in lockstep through
-//! [`EngineCore::run_logic_batch`], returning per-instance results and
+//! digit assignment / edge assignment) through [`Engine::run_batch`],
+//! returning per-instance results and
 //! [`RunReport`]s that are bit-for-bit identical to running the
 //! instances sequentially. The single-instance wrappers are batches of
-//! one — every tester run exercises the multiplexed path.
+//! one — every tester run exercises the batch path.
 
 use std::collections::HashMap;
 
 use planartest_graph::{EdgeId, Graph, NodeId};
 use planartest_sim::tree::TreeTopology;
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::{Msg, NodeLogic, Outbox, RunReport, SimError};
 
 use crate::stage2::labels::Label;
@@ -92,10 +92,10 @@ impl NodeLogic for LabelLogic<'_> {
 }
 
 /// Distributes vertex labels down every part tree for each instance of
-/// the batch, in lockstep. Returns per instance the node labels and the
+/// the batch. Returns per instance the node labels and the
 /// instance's own [`RunReport`].
-pub(crate) fn distribute_labels_batch<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub(crate) fn distribute_labels_batch(
+    engine: &mut Engine<'_>,
     specs: &[LabelSpec<'_>],
     max_rounds: u64,
 ) -> Result<Vec<(Vec<Label>, RunReport)>, SimError> {
@@ -109,7 +109,7 @@ pub(crate) fn distribute_labels_batch<'g, E: EngineCore<'g>>(
             end_pending: vec![false; n],
         })
         .collect();
-    let results = engine.run_logic_batch(&mut logics, max_rounds);
+    let results = engine.run_batch(&mut logics, max_rounds);
     results
         .into_iter()
         .zip(logics)
@@ -120,8 +120,8 @@ pub(crate) fn distribute_labels_batch<'g, E: EngineCore<'g>>(
 }
 
 /// Single-instance [`distribute_labels_batch`] (a batch of one).
-pub(crate) fn distribute_labels<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub(crate) fn distribute_labels(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     digit_of: &[HashMap<u32, u32>],
     max_rounds: u64,
@@ -195,11 +195,11 @@ impl NodeLogic for StreamLogic {
 pub(crate) type ExchangeLane = (Vec<Vec<Vec<u32>>>, RunReport);
 
 /// Streams, for every assigned non-tree edge of every instance, the
-/// non-owner endpoint's label to the owner — all instances in lockstep.
+/// non-owner endpoint's label to the owner, for every instance.
 /// Returns, per instance, the other-endpoint label words per node (in
 /// `assigned[node]` order) and the instance's own [`RunReport`].
-pub(crate) fn exchange_edge_labels_batch<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub(crate) fn exchange_edge_labels_batch(
+    engine: &mut Engine<'_>,
     g: &Graph,
     specs: &[ExchangeSpec<'_>],
     max_rounds: u64,
@@ -231,7 +231,7 @@ pub(crate) fn exchange_edge_labels_batch<'g, E: EngineCore<'g>>(
             }
         })
         .collect();
-    let results = engine.run_logic_batch(&mut logics, max_rounds);
+    let results = engine.run_batch(&mut logics, max_rounds);
     results
         .into_iter()
         .zip(logics)
@@ -257,8 +257,8 @@ pub(crate) fn exchange_edge_labels_batch<'g, E: EngineCore<'g>>(
 }
 
 /// Single-instance [`exchange_edge_labels_batch`] (a batch of one).
-pub(crate) fn exchange_edge_labels<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub(crate) fn exchange_edge_labels(
+    engine: &mut Engine<'_>,
     g: &Graph,
     assigned: &[Vec<EdgeId>],
     node_labels: &[Label],

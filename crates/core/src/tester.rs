@@ -1,7 +1,7 @@
 //! The full planarity tester (Theorem 1): Stage I then Stage II.
 
 use planartest_graph::{Graph, NodeId};
-use planartest_sim::{Backend, Engine, EngineCore, ParallelEngine, SimConfig, SimStats};
+use planartest_sim::{Engine, SimConfig, SimStats};
 
 use crate::config::TesterConfig;
 use crate::error::CoreError;
@@ -49,7 +49,7 @@ pub struct TestOutcome {
     pub parts: Vec<PartReport>,
     /// Nodes that witnessed a Definition 7 violation (telemetry in the
     /// sound modes; rejection evidence only in the paper-faithful mode —
-    /// see the Claim 10 refutation in `EXPERIMENTS.md`).
+    /// see the Claim 10 refutation, the README's experiment E6).
     pub violation_witnesses: Vec<NodeId>,
 }
 
@@ -100,15 +100,6 @@ impl PlanarityTester {
         self
     }
 
-    /// Selects the execution backend (serial or worker-pool). Both
-    /// produce identical outcomes for the same seed; see
-    /// [`planartest_sim::runtime`].
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.sim.backend = backend;
-        self
-    }
-
     /// The configuration.
     pub fn config(&self) -> &TesterConfig {
         &self.cfg
@@ -136,9 +127,8 @@ impl PlanarityTester {
     /// The Stage-I partition and the seed-independent Stage-II prefix
     /// (BFS trees, counting, embedding, label distribution/exchange)
     /// run **once**; every instance is credited their full round cost.
-    /// The seed-dependent Stage-II sample streams execute as lockstep
-    /// lanes of the batch engine
-    /// ([`planartest_sim::runtime::batch`]). Each returned
+    /// The seed-dependent Stage-II sample streams run as the instances
+    /// of one [`Engine::run_batch`]. Each returned
     /// [`TestOutcome`] — verdict, witnesses *and* statistics — is
     /// bit-for-bit identical to what [`PlanarityTester::run`] with that
     /// seed produces; only the wall-clock collapses.
@@ -148,26 +138,10 @@ impl PlanarityTester {
     /// Infrastructure errors only; fails fast if any instance errs
     /// (e.g. a `1/poly(n)` sample overflow — rerun with other seeds).
     pub fn run_many(&self, g: &Graph, seeds: &[u64]) -> Result<Vec<TestOutcome>, CoreError> {
-        match self.sim.backend {
-            Backend::Serial => self.run_many_on(&mut Engine::new(g, self.sim), seeds),
-            // `Auto` rides the parallel engine, which resolves the
-            // worker count per run from the backend's work threshold.
-            Backend::Parallel { .. } | Backend::Auto => {
-                self.run_many_on(&mut ParallelEngine::new(g, self.sim), seeds)
-            }
-        }
-    }
-
-    /// Runs the two stages for every seed on an already-constructed
-    /// engine (any backend).
-    fn run_many_on<'g, E: EngineCore<'g>>(
-        &self,
-        engine: &mut E,
-        seeds: &[u64],
-    ) -> Result<Vec<TestOutcome>, CoreError> {
         if seeds.is_empty() {
             return Ok(Vec::new());
         }
+        let engine = &mut Engine::new(g, self.sim);
         // Stage I is deterministic and seed-independent: one run serves
         // the whole batch, each instance paying its cost in full.
         let partition = partition::run_partition(engine, &self.cfg)?;
@@ -306,28 +280,6 @@ mod tests {
         let b = PlanarityTester::new(quick_cfg(0.2)).run(&g).unwrap();
         assert_eq!(a.rounds(), b.rounds());
         assert_eq!(a.stats.messages, b.stats.messages);
-    }
-
-    #[test]
-    fn parallel_backend_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let graphs = vec![
-            planar::triangulated_grid(6, 6).graph,
-            nonplanar::k5_chain(6).graph,
-            planar::random_planar(50, 0.7, &mut rng).graph,
-        ];
-        for g in graphs {
-            let serial = PlanarityTester::new(quick_cfg(0.1)).run(&g).unwrap();
-            for threads in [2, 4] {
-                let par = PlanarityTester::new(quick_cfg(0.1))
-                    .with_backend(Backend::Parallel { threads })
-                    .run(&g)
-                    .unwrap();
-                assert_eq!(par.rejections, serial.rejections, "threads={threads}");
-                assert_eq!(par.stats, serial.stats, "threads={threads}");
-                assert_eq!(par.violation_witnesses, serial.violation_witnesses);
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! Complexity is `O(n·m)`-ish — quadratic, certificate-producing and easy
 //! to audit, which is what the tester needs from its embedding substrate
-//! (see `DESIGN.md` §3 for why this substitutes for Ghaffari–Haeupler).
+//! (the round/bandwidth budget table of `docs/ARCHITECTURE.md` charges
+//! it the Ghaffari–Haeupler round bound it substitutes for).
 
 use std::collections::HashMap;
 

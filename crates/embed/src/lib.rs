@@ -2,7 +2,8 @@
 //!
 //! This crate is the substitute substrate for the Ghaffari–Haeupler
 //! distributed planar-embedding algorithm used by Stage II of the paper's
-//! tester (see `DESIGN.md` §3): the tester only needs, per node, a circular
+//! tester (see the round/bandwidth budget table of
+//! `docs/ARCHITECTURE.md`): the tester only needs, per node, a circular
 //! ordering of incident edges that is a valid combinatorial embedding
 //! whenever the graph is planar. We provide:
 //!

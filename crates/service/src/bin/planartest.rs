@@ -22,7 +22,7 @@
 //!
 //! `query` flags: `--spec SPEC` or `--graph-file PATH` (edge list),
 //! `--property P`, `--epsilon E`, `--seed S`, `--phases T`,
-//! `--backend B` (`serial|parallel[:k]|auto`), `--embedding strict|paper`.
+//! `--embedding strict|paper`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -72,7 +72,7 @@ USAGE:
       --resident-graphs caps the heap CSR tier (least-recently-used
       graphs demote to their mmap spill).
   planartest query (--spec SPEC | --graph-file PATH) [--property P]
-      [--epsilon E] [--seed S] [--phases T] [--backend B]
+      [--epsilon E] [--seed S] [--phases T]
       [--embedding strict|paper] [--state-dir DIR] [--to-disk]
       One-shot: ingest the graph, run one query, print the response.
       Exit code: 0 = accept, 1 = reject, 2 = error. With --state-dir
@@ -362,7 +362,9 @@ fn one_shot(args: &[String]) -> ExitCode {
                 ingest = ingest.field("edge_list", text);
             }
             "property" => query = query.field("property", value.as_str()),
-            "backend" => query = query.field("backend", value.as_str()),
+            // The engine has one executor; `--backend B` from older
+            // scripts is accepted and ignored.
+            "backend" => {}
             "embedding" => query = query.field("embedding", value.as_str()),
             "epsilon" => match value.parse::<f64>() {
                 Ok(e) => query = query.field("epsilon", e),

@@ -16,7 +16,7 @@
 //! | op | fields | effect |
 //! |----|--------|--------|
 //! | `ingest` | `name`, and `edge_list` *or* `spec`; `to_disk?` | register a graph, build + fingerprint once (`to_disk` streams it straight to the `--state-dir` CSR spill, registered mapped) |
-//! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?`, `backend?`, `embedding?` | test one property, cache-aware |
+//! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?`, `embedding?` | test one property, cache-aware |
 //! | `batch` | `queries`: array of query objects | coalesced drain: same-graph queries share engine passes |
 //! | `stats` | — | registry/cache/scheduler counters, queue depth, outbound shed/loss ledgers, uptime, wake reasons |
 //! | `metrics` | — | full telemetry snapshot: latency histograms per `(property, cache, route)`, stage timings, cycle accounting |
@@ -29,7 +29,6 @@
 
 use planartest_core::{EmbeddingMode, TesterConfig};
 use planartest_graph::generators::spec;
-use planartest_sim::Backend;
 
 use crate::query::{GraphRef, Outcome, Property, Query, QueryResponse};
 use crate::scheduler::Service;
@@ -123,19 +122,10 @@ pub fn parse_query(req: &Value) -> Result<Query, String> {
         Some(Some("paper")) => cfg = cfg.with_embedding(EmbeddingMode::Demoucron),
         Some(_) => return Err("`embedding` must be `strict` or `paper`".to_string()),
     }
-    let backend = match req.get("backend") {
-        None => Backend::Auto,
-        Some(b) => b
-            .as_str()
-            .ok_or_else(|| "`backend` must be a string".to_string())?
-            .parse::<Backend>()
-            .map_err(|e| e.to_string())?,
-    };
     Ok(Query {
         graph,
         property,
         cfg,
-        backend,
     })
 }
 
@@ -616,6 +606,51 @@ mod tests {
     }
 
     #[test]
+    fn backend_key_is_ignored() {
+        // Clients of the removed `backend` key keep working: the key is
+        // ignored like any unrecognised one, and the answer is the one
+        // the same query gets without it.
+        let query = |backend: Option<&str>| {
+            let q = Value::obj()
+                .field("op", "query")
+                .field("graph", "far")
+                .field("epsilon", 0.05)
+                .field("phases", 5u64)
+                .field("seed", 3u64);
+            match backend {
+                Some(b) => q.field("backend", b),
+                None => q,
+            }
+            .to_string()
+        };
+        let fingerprint = |r: &Value| {
+            [
+                "ok",
+                "verdict",
+                "rounds",
+                "messages",
+                "words",
+                "rejecting_nodes",
+            ]
+            .map(|k| r.get(k).map(ToString::to_string))
+        };
+        let mut plain_service = Service::new();
+        ingest(&mut plain_service, "far", "k5_chain(5)");
+        let plain = handle_line(&mut plain_service, &query(None));
+        let mut keyed_service = Service::new();
+        ingest(&mut keyed_service, "far", "k5_chain(5)");
+        let keyed = handle_line(&mut keyed_service, &query(Some("parallel:4")));
+        assert_eq!(keyed.get("ok").unwrap().as_bool(), Some(true), "{keyed}");
+        assert_eq!(keyed.get("verdict").unwrap().as_str(), Some("reject"));
+        assert_eq!(keyed.get("cache").unwrap().as_str(), Some("cold"));
+        assert_eq!(fingerprint(&keyed), fingerprint(&plain));
+        // The key is not part of the cache key either.
+        let again = handle_line(&mut plain_service, &query(Some("parallel:4")));
+        assert_eq!(again.get("cache").unwrap().as_str(), Some("warm"));
+        assert_eq!(fingerprint(&again), fingerprint(&plain));
+    }
+
+    #[test]
     fn errors_are_responses_not_panics() {
         let mut s = Service::new();
         for bad in [
@@ -627,7 +662,6 @@ mod tests {
             "{\"op\":\"query\"}",
             "{\"op\":\"query\",\"graph\":\"missing\"}",
             "{\"op\":\"query\",\"graph\":\"g\",\"epsilon\":7}",
-            "{\"op\":\"query\",\"graph\":\"g\",\"backend\":\"warp\"}",
             "{\"op\":\"query\",\"graph\":\"g\",\"property\":\"girth\"}",
             "{\"op\":\"query\",\"graph\":\"g\",\"embedding\":\"best\"}",
             "{\"op\":\"query\",\"graph\":\"g\",\"fingerprint\":\"00\"}",

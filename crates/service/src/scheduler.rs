@@ -716,7 +716,6 @@ pub(crate) fn group_misses(misses: Vec<(usize, Resolved)>) -> Vec<Group> {
                 groups.push(Group {
                     key: resolved.key,
                     cfg: resolved.query.cfg.clone(),
-                    backend: resolved.query.backend,
                     seeds: Vec::new(),
                     members: Vec::new(),
                 });

@@ -145,6 +145,7 @@ fn one_shot_query_accepts_and_rejects_via_exit_codes() {
             "0.05",
             "--phases",
             "5",
+            // A removed flag older scripts still pass: accepted, ignored.
             "--backend",
             "serial",
         ])

@@ -5,6 +5,7 @@ use std::fmt;
 use planartest_graph::{Graph, NodeId};
 
 use crate::runtime::lanes::LaneBits;
+use crate::runtime::mailbox::{Mailboxes, Staged};
 use crate::stats::SimStats;
 
 /// Payload words a [`Msg`] stores inline, without touching the heap.
@@ -155,28 +156,13 @@ pub struct SimConfig {
     /// Bandwidth: maximum payload words per message (per edge per round).
     /// The default of 4 models a constant number of `O(log n)`-bit fields.
     pub max_words_per_message: usize,
-    /// Which execution backend drives the rounds (see
-    /// [`Backend`](crate::runtime::Backend)). The serial and parallel
-    /// backends are bit-for-bit equivalent; the choice only affects
-    /// wall-clock time.
-    pub backend: crate::runtime::Backend,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             max_words_per_message: 4,
-            backend: crate::runtime::Backend::Auto,
         }
-    }
-}
-
-impl SimConfig {
-    /// Returns the configuration with `backend` selected.
-    #[must_use]
-    pub fn with_backend(mut self, backend: crate::runtime::Backend) -> Self {
-        self.backend = backend;
-        self
     }
 }
 
@@ -243,12 +229,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Report of a single [`Engine::run`].
-///
-/// Equality compares the CONGEST-semantic fields (`rounds`, `messages`,
-/// `words`) only: `backend` is wall-clock telemetry, and the
-/// serial/parallel determinism guarantee is exactly that reports from
-/// different backends are equal.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Rounds executed (the last round in which any message was delivered
     /// or any node was woken).
@@ -257,36 +238,16 @@ pub struct RunReport {
     pub messages: u64,
     /// Total payload words delivered.
     pub words: u64,
-    /// The backend that executed this run, with `Auto` resolved to the
-    /// concrete choice it made (telemetry; excluded from equality).
-    pub backend: crate::runtime::Backend,
 }
-
-impl Default for RunReport {
-    fn default() -> Self {
-        RunReport {
-            rounds: 0,
-            messages: 0,
-            words: 0,
-            backend: crate::runtime::Backend::Serial,
-        }
-    }
-}
-
-impl PartialEq for RunReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.rounds == other.rounds && self.messages == other.messages && self.words == other.words
-    }
-}
-
-impl Eq for RunReport {}
 
 /// Per-node protocol logic, driven synchronously by the [`Engine`].
 ///
 /// The engine calls [`init`](NodeLogic::init) for every node before round
 /// 1, then, in each round, [`round`](NodeLogic::round) for every node that
-/// received a message or requested a wake-up. Local computation is free
-/// (CONGEST); only messages cost rounds.
+/// received a message or requested a wake-up, in ascending node order.
+/// Local computation is free (CONGEST); only messages cost rounds.
+/// Protocols with per-node state keep it in a `Vec` indexed by
+/// [`NodeId::index`].
 pub trait NodeLogic {
     /// Round-0 hook: seed initial messages/wake-ups.
     fn init(&mut self, node: NodeId, out: &mut Outbox<'_>);
@@ -296,42 +257,18 @@ pub trait NodeLogic {
     fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>);
 }
 
-/// Lane geometry of one [`Outbox`]: how this instance's *local* node and
-/// edge state maps into the (possibly shared, node-major) batch arrays.
-///
-/// Node-major batching ([`crate::runtime::batch`]) stores instance `i`'s
-/// node `v` at the virtual lane `v·B + i` and its edge-direction slot
-/// `s` at `s·owned + slot` in the owning worker's stamp stripe; a
-/// single-instance run is the degenerate stride-1 geometry. The `stamp`
-/// field carries the pre-computed "sent this round" epoch value, which
-/// lets recycled executors skip re-zeroing `edge_stamp` between
-/// instances: a fresh epoch base makes every stale stamp unequal by
-/// construction.
-#[derive(Clone, Copy)]
-pub(crate) struct LaneCtx {
-    /// Local node `v` lives at virtual lane `v·lane_stride + lane_off`.
-    pub lane_stride: usize,
-    /// See [`lane_stride`](LaneCtx::lane_stride).
-    pub lane_off: usize,
-    /// Edge slot `s` stamps at `s·stamp_stride + stamp_off`.
-    pub stamp_stride: usize,
-    /// See [`stamp_stride`](LaneCtx::stamp_stride).
-    pub stamp_off: usize,
-    /// The epoch value marking "sent this round" (base + round + 1).
-    pub stamp: u64,
-}
-
-impl LaneCtx {
-    /// The single-instance geometry: identity lanes, stamp epoch `stamp`.
-    pub(crate) fn solo(stamp: u64) -> Self {
-        LaneCtx {
-            lane_stride: 1,
-            lane_off: 0,
-            stamp_stride: 1,
-            stamp_off: 0,
-            stamp,
-        }
-    }
+/// The send-side buffers one round writes through its [`Outbox`]es.
+#[derive(Debug)]
+struct SendBuffers {
+    /// `edge_stamp[2e + dir]` = epoch of the last send on that edge
+    /// direction (see [`RoundScratch::stamp_base`]).
+    edge_stamp: Vec<u64>,
+    /// Wake-dedup flags, one bit per node.
+    woken: LaneBits,
+    /// This round's sends, in the stable `(src, dst)` order.
+    staged: Vec<Staged>,
+    /// Nodes that asked to run next round without a message.
+    wake: Vec<NodeId>,
 }
 
 /// Per-call send interface handed to [`NodeLogic`] methods.
@@ -343,67 +280,26 @@ pub struct Outbox<'a> {
     g: &'a Graph,
     limit: usize,
     round: u64,
-    /// Lane geometry: maps local node/edge state into the shared batch
-    /// arrays (identity for single-instance runs).
-    lane: LaneCtx,
-    staged: &'a mut Vec<(NodeId, NodeId, Msg)>,
-    /// `edge_stamp[slot·stride + off] = epoch` of the last send on that
-    /// direction (see [`LaneCtx`]).
-    edge_stamp: &'a mut [u64],
-    wake: &'a mut Vec<NodeId>,
-    woken: &'a mut LaneBits,
+    /// The epoch value marking "sent this round" in `buf.edge_stamp`.
+    stamp: u64,
+    buf: &'a mut SendBuffers,
     error: &'a mut Option<SimError>,
 }
 
 impl<'a> Outbox<'a> {
-    /// Assembles an outbox over caller-owned buffers (used by the serial
-    /// loop, the parallel runtime's per-worker scratch, and the batch
-    /// executor's per-instance lanes).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        src: NodeId,
-        g: &'a Graph,
-        limit: usize,
-        round: u64,
-        lane: LaneCtx,
-        staged: &'a mut Vec<(NodeId, NodeId, Msg)>,
-        edge_stamp: &'a mut [u64],
-        wake: &'a mut Vec<NodeId>,
-        woken: &'a mut LaneBits,
-        error: &'a mut Option<SimError>,
-    ) -> Self {
-        Outbox {
-            src,
-            g,
-            limit,
-            round,
-            lane,
-            staged,
-            edge_stamp,
-            wake,
-            woken,
-            error,
-        }
-    }
-
     /// Stages `msg` on the already-validated edge `e` toward neighbour
     /// `to`, enforcing the one-message-per-edge-direction rule — the
     /// single home of the staging semantics behind [`Outbox::send`] and
     /// [`Outbox::send_all`].
     fn stage_on_edge(&mut self, to: NodeId, e: planartest_graph::EdgeId, msg: Msg) {
         let (u, _) = self.g.endpoints(e);
-        let dir = usize::from(self.src != u);
-        let slot = (2 * e.index() + dir) * self.lane.stamp_stride + self.lane.stamp_off;
-        if self.edge_stamp[slot] == self.lane.stamp {
+        let slot = 2 * e.index() + usize::from(self.src != u);
+        if self.buf.edge_stamp[slot] == self.stamp {
             *self.error = Some(SimError::DuplicateMessage { from: self.src, to });
             return;
         }
-        self.edge_stamp[slot] = self.lane.stamp;
-        self.staged.push((
-            self.src,
-            NodeId::new(to.index() * self.lane.lane_stride + self.lane.lane_off),
-            msg,
-        ));
+        self.buf.edge_stamp[slot] = self.stamp;
+        self.buf.staged.push((self.src, to, msg));
     }
 
     /// Sends `msg` to neighbour `to`, to be delivered next round.
@@ -464,11 +360,9 @@ impl<'a> Outbox<'a> {
     /// incoming messages (models an internal timer; costs a round only if
     /// nothing else is happening — it never creates messages).
     pub fn wake(&mut self) {
-        if !self.woken.get(self.src.index()) {
-            self.woken.set(self.src.index());
-            self.wake.push(NodeId::new(
-                self.src.index() * self.lane.lane_stride + self.lane.lane_off,
-            ));
+        if !self.buf.woken.get(self.src.index()) {
+            self.buf.woken.set(self.src.index());
+            self.buf.wake.push(self.src);
         }
     }
 
@@ -491,6 +385,10 @@ impl<'a> Outbox<'a> {
 /// The simulator: owns the cumulative [`SimStats`] across many runs, so a
 /// multi-phase algorithm (like the paper's tester) can account its total
 /// round complexity by sequencing `run` calls on one engine.
+///
+/// [`run`](Engine::run) drives one protocol instance;
+/// [`run_batch`](Engine::run_batch) drives many independent instances
+/// over the same graph, one after another on recycled buffers.
 #[derive(Debug)]
 pub struct Engine<'g> {
     g: &'g Graph,
@@ -529,11 +427,6 @@ impl<'g> Engine<'g> {
         self.stats.charged_rounds += rounds;
     }
 
-    /// Folds one run's report into the cumulative statistics.
-    pub(crate) fn absorb(&mut self, report: RunReport) {
-        self.stats.absorb(report);
-    }
-
     /// Runs `logic` to quiescence (no staged messages and no wake-ups).
     ///
     /// # Errors
@@ -545,162 +438,209 @@ impl<'g> Engine<'g> {
         logic: &mut L,
         max_rounds: u64,
     ) -> Result<RunReport, SimError> {
-        let report = run_serial(self.g, self.cfg, logic, max_rounds)?;
+        let report = RoundScratch::for_graph(self.g).run(self.g, self.cfg, logic, max_rounds)?;
         self.stats.absorb(report);
         Ok(report)
     }
-}
 
-/// The reference serial round loop, shared by [`Engine::run`] and the
-/// parallel runtime's sequential fallback for aggregate-state logic.
-///
-/// Delivery, activation and wake semantics live in
-/// [`Mailboxes`](crate::runtime::mailbox::Mailboxes) and
-/// [`finish_active`](crate::runtime::parallel::finish_active) — the
-/// same primitives the parallel executor runs on — so the CONGEST
-/// semantics exist exactly once and the serial/parallel bit-for-bit
-/// equivalence is structural, not a matter of keeping two hand-written
-/// loops in sync.
-pub(crate) fn run_serial<L: NodeLogic>(
-    g: &Graph,
-    cfg: SimConfig,
-    logic: &mut L,
-    max_rounds: u64,
-) -> Result<RunReport, SimError> {
-    let mut staged: Vec<(NodeId, NodeId, Msg)> = Vec::new();
-    // `edge_stamp[2e + dir] = round + 1` of the last send; 0 = never.
-    let mut edge_stamp = vec![0u64; 2 * g.m()];
-    let mut wake: Vec<NodeId> = Vec::new();
-    let mut woken = LaneBits::new(g.n());
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut boxes = crate::runtime::mailbox::Mailboxes::new(g.n());
-    let mut stamp_base = 0;
-    run_serial_recycled(
-        g,
-        cfg,
-        logic,
-        max_rounds,
-        &mut edge_stamp,
-        &mut woken,
-        &mut staged,
-        &mut wake,
-        &mut active,
-        &mut boxes,
-        &mut stamp_base,
-    )
-}
-
-/// The reference round loop over caller-owned buffers: the batch
-/// executor's consecutive path ([`crate::runtime::batch`]) re-enters it
-/// with one set of recycled arenas per batch, so a batch of one is
-/// *structurally* the same run as [`Engine::run`] — not a copy kept in
-/// sync.
-///
-/// `stamp_base` is the edge-stamp epoch base: this run marks "sent in
-/// round `r`" as `stamp_base + r + 1` and advances the base past every
-/// stamp it wrote before returning. Recycling callers therefore never
-/// re-zero `edge_stamp` between instances — stale stamps from earlier
-/// runs compare unequal to every new epoch by construction. The vectors
-/// and wake flags must arrive empty/clear; this function restores that
-/// state on **every** exit path (including CONGEST violations and
-/// round-budget exhaustion), so consecutive recycled runs need no
-/// inter-instance scrubbing at all.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_serial_recycled<L: NodeLogic>(
-    g: &Graph,
-    cfg: SimConfig,
-    logic: &mut L,
-    max_rounds: u64,
-    edge_stamp: &mut [u64],
-    woken: &mut LaneBits,
-    staged: &mut Vec<(NodeId, NodeId, Msg)>,
-    wake: &mut Vec<NodeId>,
-    active: &mut Vec<NodeId>,
-    boxes: &mut crate::runtime::mailbox::Mailboxes,
-    stamp_base: &mut u64,
-) -> Result<RunReport, SimError> {
-    let limit = cfg.max_words_per_message;
-    let base = *stamp_base;
-    let mut error: Option<SimError> = None;
-    let mut report = RunReport::default();
-
-    // Restores the buffers' reset invariant after an aborted run: drop
-    // the undelivered sends and clear the pending wake flags (lane id =
-    // node id under the solo geometry).
-    let abort = |staged: &mut Vec<(NodeId, NodeId, Msg)>,
-                 wake: &mut Vec<NodeId>,
-                 woken: &mut LaneBits,
-                 stamp_base: &mut u64,
-                 round: u64,
-                 e: SimError| {
-        staged.clear();
-        for v in wake.drain(..) {
-            woken.clear(v.index());
+    /// Runs independent instances of a protocol over the same graph and
+    /// returns one result per instance, each bit-for-bit what
+    /// [`run`](Engine::run) returns for that instance alone. Successful
+    /// instances are folded into [`stats`](Engine::stats), one run each;
+    /// an instance that violates the model fails alone.
+    ///
+    /// The instances run one after another over buffers recycled across
+    /// instances and across calls (see [`crate::runtime::batch`]), so a
+    /// batch pays the per-run setup cost once.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use planartest_graph::{Graph, NodeId};
+    /// use planartest_sim::{Engine, Msg, NodeLogic, Outbox, SimConfig};
+    ///
+    /// /// Node `src` floods a token; `seen` is per-instance state.
+    /// struct Flood {
+    ///     src: usize,
+    ///     seen: Vec<bool>,
+    /// }
+    /// impl NodeLogic for Flood {
+    ///     fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
+    ///         if node.index() == self.src {
+    ///             self.seen[self.src] = true;
+    ///             out.send_all(Msg::words(&[1]));
+    ///         }
+    ///     }
+    ///     fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
+    ///         if !self.seen[node.index()] && !inbox.is_empty() {
+    ///             self.seen[node.index()] = true;
+    ///             out.send_all(Msg::words(&[1]));
+    ///         }
+    ///     }
+    /// }
+    ///
+    /// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
+    /// let mut logics: Vec<Flood> = (0..3)
+    ///     .map(|src| Flood { src, seen: vec![false; 4] })
+    ///     .collect();
+    /// let mut engine = Engine::new(&g, SimConfig::default());
+    /// let reports = engine.run_batch(&mut logics, 100);
+    /// let rounds: Vec<u64> = reports.iter().map(|r| r.as_ref().unwrap().rounds).collect();
+    /// assert_eq!(rounds, [4, 3, 3]);
+    /// assert_eq!(engine.stats().runs, 3);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn run_batch<L: NodeLogic>(
+        &mut self,
+        logics: &mut [L],
+        max_rounds: u64,
+    ) -> Vec<Result<RunReport, SimError>> {
+        let results = crate::runtime::batch::run_consecutive(self.g, self.cfg, logics, max_rounds);
+        for report in results.iter().flatten() {
+            self.stats.absorb(*report);
         }
-        *stamp_base = base + round + 2;
-        Err(e)
-    };
+        results
+    }
+}
 
-    // Round 0: init.
-    for v in g.nodes() {
-        let mut out = Outbox::assemble(
-            v,
-            g,
-            limit,
-            0,
-            LaneCtx::solo(base + 1),
-            staged,
-            edge_stamp,
-            wake,
-            woken,
-            &mut error,
-        );
-        logic.init(v, &mut out);
-        if let Some(e) = error {
-            return abort(staged, wake, woken, stamp_base, 0, e);
+/// The buffers of the round loop, sized for one graph shape.
+///
+/// A scratch may be reused for any number of consecutive runs over
+/// graphs of that shape with no re-zeroing in between: edge stamps use
+/// monotone epochs ([`stamp_base`](RoundScratch::stamp_base)), and
+/// [`run`](RoundScratch::run) leaves the vectors empty and the wake
+/// flags clear on every exit path.
+#[derive(Debug)]
+pub(crate) struct RoundScratch {
+    /// Graph shape this scratch is sized for: `(n, m)`.
+    key: (usize, usize),
+    buf: SendBuffers,
+    active: Vec<NodeId>,
+    boxes: Mailboxes,
+    /// Edge-stamp epoch base: a run marks "sent in round `r`" as
+    /// `stamp_base + r + 1` and then advances the base past every stamp
+    /// it wrote, so a stale stamp never equals a fresh one.
+    stamp_base: u64,
+}
+
+impl RoundScratch {
+    pub(crate) fn for_graph(g: &Graph) -> Self {
+        RoundScratch {
+            key: (g.n(), g.m()),
+            buf: SendBuffers {
+                edge_stamp: vec![0; 2 * g.m()],
+                woken: LaneBits::new(g.n()),
+                staged: Vec::new(),
+                wake: Vec::new(),
+            },
+            active: Vec::new(),
+            boxes: Mailboxes::new(g.n()),
+            stamp_base: 0,
         }
     }
 
-    let mut round: u64 = 0;
-    while !staged.is_empty() || !wake.is_empty() {
-        round += 1;
-        if round > max_rounds {
-            return abort(
-                staged,
-                wake,
-                woken,
-                stamp_base,
-                round,
-                SimError::RoundLimitExceeded { limit: max_rounds },
-            );
-        }
-        // `active` is recycled across rounds: cleared, never
-        // re-allocated at steady state.
-        active.clear();
-        boxes.deliver(staged, woken, active, &mut report);
-        crate::runtime::parallel::finish_active(active, wake, woken);
-        for &v in active.iter() {
-            let mut out = Outbox::assemble(
-                v,
+    /// Whether the buffers are sized for `g`'s shape.
+    pub(crate) fn fits(&self, g: &Graph) -> bool {
+        self.key == (g.n(), g.m())
+    }
+
+    /// Whether the buffers are in their between-runs state.
+    pub(crate) fn is_clean(&self) -> bool {
+        !self.buf.woken.any_set() && self.buf.staged.is_empty() && self.buf.wake.is_empty()
+    }
+
+    /// The round loop: runs `logic` to quiescence over these buffers.
+    pub(crate) fn run<L: NodeLogic>(
+        &mut self,
+        g: &Graph,
+        cfg: SimConfig,
+        logic: &mut L,
+        max_rounds: u64,
+    ) -> Result<RunReport, SimError> {
+        let limit = cfg.max_words_per_message;
+        let base = self.stamp_base;
+        let mut error: Option<SimError> = None;
+        let mut report = RunReport::default();
+
+        // Round 0: init.
+        for v in g.nodes() {
+            let mut out = Outbox {
+                src: v,
                 g,
                 limit,
-                round,
-                LaneCtx::solo(base + round + 1),
-                staged,
-                edge_stamp,
-                wake,
-                woken,
-                &mut error,
-            );
-            logic.round(v, boxes.inbox(v), &mut out);
+                round: 0,
+                stamp: base + 1,
+                buf: &mut self.buf,
+                error: &mut error,
+            };
+            logic.init(v, &mut out);
             if let Some(e) = error {
-                return abort(staged, wake, woken, stamp_base, round, e);
+                return Err(self.abort(base, 0, e));
             }
         }
+
+        let mut round: u64 = 0;
+        while !self.buf.staged.is_empty() || !self.buf.wake.is_empty() {
+            round += 1;
+            if round > max_rounds {
+                return Err(self.abort(
+                    base,
+                    round,
+                    SimError::RoundLimitExceeded { limit: max_rounds },
+                ));
+            }
+            // `active` is recycled across rounds: cleared, never
+            // re-allocated at steady state.
+            self.active.clear();
+            self.boxes.deliver(
+                &mut self.buf.staged,
+                &self.buf.woken,
+                &mut self.active,
+                &mut report,
+            );
+            // Woken nodes join the message-activated ones; the sweep
+            // runs in ascending node order.
+            self.active.append(&mut self.buf.wake);
+            self.active.sort_unstable();
+            self.active.dedup();
+            for &v in &self.active {
+                self.buf.woken.clear(v.index());
+            }
+            for &v in &self.active {
+                let mut out = Outbox {
+                    src: v,
+                    g,
+                    limit,
+                    round,
+                    stamp: base + round + 1,
+                    buf: &mut self.buf,
+                    error: &mut error,
+                };
+                logic.round(v, self.boxes.inbox(v), &mut out);
+                if error.is_some() {
+                    break;
+                }
+            }
+            if let Some(e) = error {
+                return Err(self.abort(base, round, e));
+            }
+        }
+        self.stamp_base = base + round + 2;
+        report.rounds = round;
+        Ok(report)
     }
-    *stamp_base = base + round + 2;
-    report.rounds = round;
-    Ok(report)
+
+    /// Restores the between-runs state after a run aborted in `round`:
+    /// drops the undelivered sends, clears the pending wake flags and
+    /// advances the stamp epoch. Returns `e` for the caller to report.
+    fn abort(&mut self, base: u64, round: u64, e: SimError) -> SimError {
+        self.buf.staged.clear();
+        for v in self.buf.wake.drain(..) {
+            self.buf.woken.clear(v.index());
+        }
+        self.stamp_base = base + round + 2;
+        e
+    }
 }
 
 #[cfg(test)]
@@ -759,7 +699,6 @@ mod tests {
             &g,
             SimConfig {
                 max_words_per_message: 4,
-                ..SimConfig::default()
             },
         );
         let err = engine.run(&mut SendTooBig, 10).unwrap_err();
@@ -869,6 +808,15 @@ mod tests {
         assert_eq!(err, SimError::RoundLimitExceeded { limit: 25 });
     }
 
+    #[test]
+    fn round_limit_enforced_on_one_edge() {
+        // The smallest bouncing pair: two nodes, one edge, a tight limit.
+        let g = grid(1, 2);
+        let mut engine = Engine::new(&g, SimConfig::default());
+        let err = engine.run(&mut Chatter, 7).unwrap_err();
+        assert_eq!(err, SimError::RoundLimitExceeded { limit: 7 });
+    }
+
     struct Sleeper {
         fired: bool,
     }
@@ -916,6 +864,112 @@ mod tests {
         engine.charge_rounds(17);
         assert_eq!(engine.stats().charged_rounds, 17);
         assert_eq!(engine.stats().total_rounds(), 17);
+    }
+
+    fn grid(rows: usize, cols: usize) -> Graph {
+        let mut edges = Vec::new();
+        let id = |r: usize, c: usize| r * cols + c;
+        for r in 0..rows {
+            for c in 0..cols {
+                if c + 1 < cols {
+                    edges.push((id(r, c), id(r, c + 1)));
+                }
+                if r + 1 < rows {
+                    edges.push((id(r, c), id(r + 1, c)));
+                }
+            }
+        }
+        Graph::from_edges(rows * cols, edges).unwrap()
+    }
+
+    /// Distance-from-source flood with per-node state in a `Vec` field.
+    struct Levels {
+        level: Vec<Option<u64>>,
+    }
+    impl NodeLogic for Levels {
+        fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
+            if node.index() == 0 {
+                self.level[0] = Some(0);
+                out.send_all(Msg::words(&[0]));
+            }
+        }
+        fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
+            if self.level[node.index()].is_none() {
+                let lvl = inbox.iter().map(|(_, m)| m.word(0)).min().expect("msgs") + 1;
+                self.level[node.index()] = Some(lvl);
+                out.send_all(Msg::words(&[lvl]));
+            }
+        }
+    }
+
+    #[test]
+    fn flood_levels_are_bfs_distances() {
+        let g = grid(9, 11);
+        let mut engine = Engine::new(&g, SimConfig::default());
+        let mut logic = Levels {
+            level: vec![None; g.n()],
+        };
+        let report = engine.run(&mut logic, 10_000).unwrap();
+        // Manhattan distance on a grid from corner (0,0).
+        for r in 0..9u64 {
+            for c in 0..11u64 {
+                assert_eq!(logic.level[(r * 11 + c) as usize], Some(r + c));
+            }
+        }
+        assert!(report.rounds >= 9 + 11 - 2);
+    }
+
+    #[test]
+    fn errors_match_serial_choice() {
+        // Two violators in one round: the lower node id runs first, so
+        // its error is the one reported.
+        struct TwoViolators;
+        impl NodeLogic for TwoViolators {
+            fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
+                if node.index() == 3 || node.index() == 7 {
+                    out.send_all(Msg::words(&[0; 9])); // over bandwidth
+                }
+            }
+            fn round(&mut self, _: NodeId, _: &[(NodeId, Msg)], _: &mut Outbox<'_>) {}
+        }
+        let g = grid(3, 4);
+        let mut engine = Engine::new(&g, SimConfig::default());
+        let err = engine.run(&mut TwoViolators, 10).unwrap_err();
+        assert!(
+            matches!(err, SimError::MessageTooLarge { from, .. } if from.index() == 3),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn wake_semantics_preserved() {
+        // A node that wakes itself twice, then quiesces.
+        struct Snooze {
+            count: u32,
+        }
+        impl NodeLogic for Snooze {
+            fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
+                if node.index() == 5 {
+                    out.wake();
+                }
+            }
+            fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
+                assert_eq!(node.index(), 5);
+                assert!(inbox.is_empty());
+                self.count += 1;
+                if self.count < 3 {
+                    out.wake();
+                    out.wake(); // dedup: still one activation
+                }
+            }
+        }
+        let g = grid(2, 4);
+        let mut engine = Engine::new(&g, SimConfig::default());
+        let mut logic = Snooze { count: 0 };
+        let report = engine.run(&mut logic, 100).unwrap();
+        assert_eq!(logic.count, 3);
+        assert_eq!(report.rounds, 3);
+        assert_eq!(report.messages, 0);
     }
 
     #[test]

@@ -7,17 +7,22 @@
 //! *message by message* under exactly those rules:
 //!
 //! * [`Engine::run`] drives a [`NodeLogic`] to quiescence, delivering
-//!   messages with one-round latency;
+//!   messages with one-round latency; [`Engine::run_batch`] drives many
+//!   independent instances over the same graph on recycled buffers;
 //! * at most **one message per edge direction per round**, each of at most
 //!   [`SimConfig::max_words_per_message`] machine words — violations are
 //!   reported as [`SimError`]s, never silently allowed;
 //! * rounds, messages and words are tallied in [`SimStats`], including
-//!   explicitly *charged* rounds for substituted subroutines (see
-//!   `DESIGN.md` §3).
+//!   explicitly *charged* rounds for substituted subroutines (see the
+//!   round/bandwidth budget table in `docs/ARCHITECTURE.md`).
 //!
 //! On top of the engine, [`tree`] provides broadcast/convergecast over
 //! forests and [`bfs`] grows BFS trees distributedly — the workhorses of
 //! the paper's Stage I and Stage II.
+//!
+//! [`Engine`] is the only executor: every run stays on the calling
+//! thread. Parallelism lives one level up, across independent runs, in
+//! [`TrialRunner`] (see [`runtime`]).
 //!
 //! # Example
 //!
@@ -66,8 +71,9 @@ pub mod tree;
 pub use crate::engine::{
     Engine, Msg, NodeLogic, Outbox, RunReport, SimConfig, SimError, MSG_INLINE_WORDS,
 };
-pub use crate::runtime::{
-    run_batch, Backend, BatchEngine, EngineCore, LaneBits, ParallelEngine, ParallelNodeLogic,
-    TrialRunner,
-};
+pub use crate::runtime::{LaneBits, TrialRunner};
 pub use crate::stats::{PassRollup, SimStats};
+
+/// Another name for [`Engine`], kept only for the benchmark harness
+/// under `perfbench/`, which names it. Use [`Engine`].
+pub type ParallelEngine<'g> = Engine<'g>;

@@ -1,720 +1,79 @@
-//! Instance-multiplexed execution: drive batches of independent
-//! protocol runs through one executor.
+//! Batches of independent protocol instances over one graph.
 //!
 //! Monte-Carlo testers get their confidence from many *independent*
 //! protocol instances (acceptance trials, sweep points, per-seed
-//! sub-protocol runs). Executing them one [`Engine::run`](crate::Engine)
-//! at a time pays the full per-run fixed cost — allocation, setup, and
-//! (on the pool) one barrier per instance per round. [`run_batch`]
-//! instead serves `B` independent [`NodeLogic`] instances over the
-//! *same* [`Graph`] as one multiplexed batch: on the worker pool they
-//! step in lockstep through one shared round loop (every barrier
-//! carries `B×` more work); on a single worker they run consecutively
-//! over one set of recycled arenas (the per-run setup cost is paid
-//! once).
+//! sub-protocol runs). [`Engine::run_batch`] serves `B` independent
+//! [`NodeLogic`] instances over the *same* [`Graph`]: the instances run
+//! **consecutively over one set of recycled buffers**. Edge stamps, wake
+//! flags, the mailbox arena and the active list persist in a
+//! thread-local scratch that outlives the batch, so repeated batches
+//! over the same graph (a [`TrialRunner`] sweep, the tester's per-seed
+//! sub-protocols) re-enter warm buffers with **zero** per-instance
+//! re-zeroing: edge stamps use monotone epoch bases (a stale stamp can
+//! never equal a fresh one) and the wake bitset is restored clear on
+//! every exit path of the round loop.
 //!
-//! # Execution scheme — pooled path
+//! Each instance's [`RunReport`] — rounds, messages, words — and any
+//! [`SimError`] are **bit-for-bit identical** to what a lone
+//! [`Engine::run`] of that instance produces, because a batch re-enters
+//! the very round loop `run` uses (enforced by the `runtime_equivalence`
+//! and `layout_golden` suites). An instance that violates the CONGEST
+//! model fails alone; the remaining instances continue unperturbed.
 //!
-//! On the worker pool, instance `i`'s node `v` is mapped to the
-//! **node-major virtual lane id** `v·B + i`: one node's `B` instance
-//! lanes occupy one contiguous stripe of the range table and the
-//! [`LaneBits`] wake bitset (the layout the SWAR bookkeeping kernels —
-//! and, down the road, sharding and out-of-core CSR — operate on). The
-//! flat-arena counting sort ([`Mailboxes::deliver_lanes`]) keys
-//! deliveries by `(node, instance)`; since a lane only ever receives
-//! from its own instance and the sort is stable within a lane, the
-//! re-keying changes no delivered sequence. The shared sorted active
-//! list comes out node-major, but restricted to any one instance it is
-//! still ascending node order — exactly the per-instance serial order —
-//! and per-instance message accounting is the lane index `dst % B`.
-//! Each worker stores the `edge_stamp` epochs of its owned instances
-//! edge-major (`slot·owned + local`, the same contiguous-stripe shape)
-//! and its wake-dedup flags as per-instance `LaneBits`, cleared a word
-//! (64 lanes) at a time. Every channel barrier carries all instances'
-//! node sweeps at once — `B×` more work per barrier than a single run
-//! gives it.
-//!
-//! # Execution scheme — serial path
-//!
-//! Instances are *independent*: nothing semantically requires stepping
-//! them in lockstep, and on a single worker a lockstep interleave would
-//! only trade cache locality (each round touches every instance's
-//! state) for a shared loop it gains nothing from. The serial path
-//! therefore runs the instances **consecutively over one set of
-//! recycled arenas** — edge stamps, wake flags, the mailbox arena and
-//! the active list persist in a thread-local scratch that outlives the
-//! batch, so repeated batches over the same graph (a [`TrialRunner`]
-//! sweep, the tester's per-seed sub-protocols) re-enter warm arenas
-//! with **zero** per-instance re-zeroing: edge stamps use monotone
-//! epoch bases (a stale stamp can never equal a fresh one) and the wake
-//! bitset is restored clear on every exit path of the reference loop.
-//!
-//! [`TrialRunner`]: crate::runtime::TrialRunner
-//! [`LaneBits`]: crate::runtime::lanes::LaneBits
-//!
-//! # Round accounting: semantic rounds are per-instance
-//!
-//! Only wall-clock collapses under batching — the CONGEST accounting
-//! does not. Every instance's [`RunReport::rounds`] is *its own* count
-//! (on the pooled path an instance that quiesces simply drops out of
-//! the shared active set; the batch round at which it last acted is by
-//! construction its own round number, since all instances start at
-//! round 0 together). The per-instance `RunReport`s — rounds, messages,
-//! words — and any per-instance [`SimError`] are **bit-for-bit
-//! identical** to what `B` sequential [`Engine::run`]s produce, on both
-//! paths (enforced by the `runtime_equivalence` proptest suite). An
-//! instance that violates the CONGEST model fails alone: its staged
-//! sends from the aborted sweep are discarded (the sequential engine
-//! would never have delivered them) and the remaining instances
-//! continue unperturbed.
-//!
-//! # Parallelism axis
-//!
-//! Aggregate-state [`NodeLogic`] hands every node the same `&mut self`,
-//! so a single instance is inherently sequential — but *instances* are
-//! independent, which makes the batch the natural parallel axis. The
-//! pooled path assigns instances to workers by fixed affinity
-//! (`instance % threads`), keeping each instance's node sweep on one
-//! thread (preserving its serial order and error semantics) while
-//! different instances run concurrently. Cross-instance merge order
-//! does not matter for delivery: a lane only ever receives messages
-//! from its own instance, and the counting sort is stable within a
-//! lane.
-//!
+//! [`Engine::run_batch`]: crate::Engine::run_batch
 //! [`Engine::run`]: crate::Engine::run
+//! [`TrialRunner`]: crate::runtime::TrialRunner
 
 use std::cell::RefCell;
-use std::sync::mpsc::{channel, Receiver, Sender};
 
-use planartest_graph::{Graph, NodeId};
+use planartest_graph::Graph;
 
-use crate::engine::{LaneCtx, NodeLogic, Outbox, RunReport, SimConfig, SimError};
-use crate::runtime::lanes::LaneBits;
-use crate::runtime::mailbox::{InboxRange, Mailboxes, Staged};
-use crate::runtime::parallel::{finish_active, merge_wake, ArenaPtr};
-use crate::stats::SimStats;
-
-/// Runs `B` independent [`NodeLogic`] instances over `g` in lockstep,
-/// returning one `Result<RunReport, SimError>` per instance —
-/// bit-for-bit identical to what `B` sequential
-/// [`Engine::run`](crate::Engine::run)s produce (see the
-/// [module docs](self) for the round-accounting semantics).
-///
-/// The worker count is resolved from `cfg.backend` via
-/// [`Backend::threads_for_batch`](crate::runtime::Backend::threads_for_batch);
-/// parallelism is across instances, which is why `L: Send` is required
-/// even though each individual instance stays on one thread.
-pub fn run_batch<L: NodeLogic + Send>(
-    g: &Graph,
-    cfg: SimConfig,
-    logics: &mut [L],
-    max_rounds: u64,
-) -> Vec<Result<RunReport, SimError>> {
-    let threads = cfg
-        .backend
-        .threads_for_batch(logics.len(), g.n(), max_rounds);
-    execute_batch(g, cfg, logics, max_rounds, threads)
-}
-
-/// The batch façade mirroring [`Engine`](crate::Engine): owns cumulative
-/// [`SimStats`] across batch runs so multi-phase batched algorithms can
-/// account their totals on one object.
-///
-/// # Example
-///
-/// ```
-/// use planartest_graph::{Graph, NodeId};
-/// use planartest_sim::{BatchEngine, Msg, NodeLogic, Outbox, SimConfig};
-///
-/// /// Node 0 floods a token; `seen` is per-instance aggregate state.
-/// struct Flood {
-///     hops: u64,
-///     seen: Vec<bool>,
-/// }
-/// impl NodeLogic for Flood {
-///     fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
-///         if node.index() == 0 {
-///             self.seen[0] = true;
-///             out.send_all(Msg::words(&[self.hops]));
-///         }
-///     }
-///     fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
-///         if !self.seen[node.index()] && !inbox.is_empty() {
-///             self.seen[node.index()] = true;
-///             out.send_all(Msg::words(&[self.hops]));
-///         }
-///     }
-/// }
-///
-/// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-/// let mut logics: Vec<Flood> = (0..3)
-///     .map(|i| Flood { hops: i, seen: vec![false; 4] })
-///     .collect();
-/// let mut batch = BatchEngine::new(&g, SimConfig::default());
-/// let reports = batch.run(&mut logics, 100);
-/// assert_eq!(reports.len(), 3);
-/// for r in &reports {
-///     assert_eq!(r.as_ref().unwrap().rounds, 4);
-/// }
-/// assert_eq!(batch.stats().runs, 3);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct BatchEngine<'g> {
-    g: &'g Graph,
-    cfg: SimConfig,
-    /// Fixed worker count; `None` resolves per batch from the backend.
-    threads: Option<usize>,
-    stats: SimStats,
-}
-
-impl<'g> BatchEngine<'g> {
-    /// Creates a batch engine over `g`; the worker count comes from
-    /// `cfg.backend` (resolved per batch for `Auto`).
-    #[must_use]
-    pub fn new(g: &'g Graph, cfg: SimConfig) -> Self {
-        BatchEngine {
-            g,
-            cfg,
-            threads: None,
-            stats: SimStats::default(),
-        }
-    }
-
-    /// Overrides the worker count (`0` = hardware parallelism).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(if threads == 0 {
-            crate::runtime::auto_threads()
-        } else {
-            threads
-        });
-        self
-    }
-
-    /// The underlying graph.
-    #[must_use]
-    pub fn graph(&self) -> &'g Graph {
-        self.g
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> SimConfig {
-        self.cfg
-    }
-
-    /// Cumulative statistics over all completed instances.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Adds explicitly charged rounds.
-    pub fn charge_rounds(&mut self, rounds: u64) {
-        self.stats.charged_rounds += rounds;
-    }
-
-    /// Runs the instances to quiescence in lockstep; successful
-    /// instances' reports are folded into [`stats`](BatchEngine::stats).
-    pub fn run<L: NodeLogic + Send>(
-        &mut self,
-        logics: &mut [L],
-        max_rounds: u64,
-    ) -> Vec<Result<RunReport, SimError>> {
-        let threads = self.threads.unwrap_or_else(|| {
-            self.cfg
-                .backend
-                .threads_for_batch(logics.len(), self.g.n(), max_rounds)
-        });
-        let results = execute_batch(self.g, self.cfg, logics, max_rounds, threads);
-        for report in results.iter().flatten() {
-            self.stats.absorb(*report);
-        }
-        results
-    }
-}
-
-/// Executes the batch with an explicit worker count (1 = inline).
-pub(crate) fn execute_batch<L: NodeLogic + Send>(
-    g: &Graph,
-    cfg: SimConfig,
-    logics: &mut [L],
-    max_rounds: u64,
-    threads: usize,
-) -> Vec<Result<RunReport, SimError>> {
-    let b = logics.len();
-    if b == 0 {
-        return Vec::new();
-    }
-    assert!(
-        b.saturating_mul(g.n().max(1)) <= u32::MAX as usize,
-        "batch too wide: {b} instances x {} nodes exceeds the virtual id space",
-        g.n()
-    );
-    if threads <= 1 || b <= 1 {
-        batch_consecutive(g, cfg, logics, max_rounds)
-    } else {
-        batch_pool(g, cfg, logics, max_rounds, threads.min(b))
-    }
-}
-
-/// Per-instance progress tracking shared by both batch loops.
-struct BatchState {
-    /// Per-instance semantic message/word tallies (lane-attributed by
-    /// [`Mailboxes::deliver_lanes`]); `rounds` frozen at finalization.
-    reports: Vec<RunReport>,
-    /// `Some` once an instance has quiesced or failed.
-    outcome: Vec<Option<Result<RunReport, SimError>>>,
-}
-
-impl BatchState {
-    fn new(b: usize, backend: crate::runtime::Backend) -> Self {
-        BatchState {
-            reports: vec![
-                RunReport {
-                    backend,
-                    ..RunReport::default()
-                };
-                b
-            ],
-            outcome: vec![None; b],
-        }
-    }
-
-    /// Freezes instance `i`'s report at its final (own) round count.
-    fn quiesce(&mut self, i: usize, round: u64) {
-        debug_assert!(self.outcome[i].is_none(), "instance settled twice");
-        let mut report = self.reports[i];
-        report.rounds = round;
-        self.outcome[i] = Some(Ok(report));
-    }
-
-    /// Records instance `i`'s CONGEST violation.
-    fn fail(&mut self, i: usize, e: SimError) {
-        debug_assert!(self.outcome[i].is_none(), "instance settled twice");
-        self.outcome[i] = Some(Err(e));
-    }
-
-    /// Every still-live instance exceeds the round budget together (each
-    /// would have hit the same limit sequentially).
-    fn round_limit(&mut self, limit: u64) {
-        for slot in &mut self.outcome {
-            if slot.is_none() {
-                *slot = Some(Err(SimError::RoundLimitExceeded { limit }));
-            }
-        }
-    }
-
-    fn into_results(self) -> Vec<Result<RunReport, SimError>> {
-        self.outcome
-            .into_iter()
-            .map(|o| o.expect("every instance settles before the loop exits"))
-            .collect()
-    }
-}
-
-/// The recycled arenas of the consecutive batch path, persisted in a
-/// thread-local so *successive batches* — not just successive instances
-/// — reuse one warm allocation set. [`TrialRunner`] sweeps re-enter
-/// `run_batch` thousands of times over the same graph from the same
-/// (scoped-pool or main) threads, and every re-entry finds these
-/// buffers already sized.
-///
-/// No inter-instance or inter-batch re-zeroing happens at all:
-/// `stamp_base` carries the monotone edge-stamp epoch across runs (a
-/// stale stamp can never equal a fresh epoch), and the reference loop
-/// restores `woken`/`staged`/`wake` to their clear state on every exit
-/// path. A batch over a *different* graph shape simply rebuilds the
-/// scratch.
-///
-/// [`TrialRunner`]: crate::runtime::TrialRunner
-struct BatchScratch {
-    /// Graph shape this scratch is sized for: `(n, m)`.
-    key: (usize, usize),
-    edge_stamp: Vec<u64>,
-    woken: LaneBits,
-    staged: Vec<Staged>,
-    wake: Vec<NodeId>,
-    active: Vec<NodeId>,
-    boxes: Mailboxes,
-    /// Monotone edge-stamp epoch base (see
-    /// [`run_serial_recycled`](crate::engine)).
-    stamp_base: u64,
-}
-
-impl BatchScratch {
-    fn for_graph(g: &Graph) -> Self {
-        BatchScratch {
-            key: (g.n(), g.m()),
-            edge_stamp: vec![0; 2 * g.m()],
-            woken: LaneBits::new(g.n()),
-            staged: Vec::new(),
-            wake: Vec::new(),
-            active: Vec::new(),
-            boxes: Mailboxes::new(g.n()),
-            stamp_base: 0,
-        }
-    }
-}
+use crate::engine::{NodeLogic, RoundScratch, RunReport, SimConfig, SimError};
 
 thread_local! {
     /// One recycled scratch per thread; `None` until first use (and
     /// while a batch on this thread has it checked out, which makes
-    /// re-entrant batches allocate fresh instead of aliasing).
-    static BATCH_SCRATCH: RefCell<Option<BatchScratch>> = const { RefCell::new(None) };
+    /// re-entrant batches allocate fresh instead of aliasing). A batch
+    /// over a graph of a different shape rebuilds it.
+    static BATCH_SCRATCH: RefCell<Option<RoundScratch>> = const { RefCell::new(None) };
 }
 
-/// The single-worker batch path: each instance runs to quiescence in
-/// turn — bit-for-bit the reference serial loop — over the thread's
-/// recycled [`BatchScratch`] (see the [module docs](self) for why
-/// consecutive beats lockstep on one worker).
-fn batch_consecutive<L: NodeLogic>(
+/// Runs each instance to quiescence in turn over the thread's recycled
+/// [`RoundScratch`], returning one result per instance.
+pub(crate) fn run_consecutive<L: NodeLogic>(
     g: &Graph,
     cfg: SimConfig,
     logics: &mut [L],
     max_rounds: u64,
 ) -> Vec<Result<RunReport, SimError>> {
-    let key = (g.n(), g.m());
     let mut scratch = match BATCH_SCRATCH.with(|cell| cell.borrow_mut().take()) {
-        Some(s) if s.key == key => s,
-        _ => BatchScratch::for_graph(g),
+        Some(s) if s.fits(g) => s,
+        _ => RoundScratch::for_graph(g),
     };
     let results = logics
         .iter_mut()
         .map(|logic| {
-            debug_assert!(
-                !scratch.woken.any_set() && scratch.staged.is_empty() && scratch.wake.is_empty(),
-                "recycled scratch must arrive clean"
-            );
-            // The reference loop itself, re-entered per instance — a
-            // batch of one is structurally Engine::run, not a copy.
-            crate::engine::run_serial_recycled(
-                g,
-                cfg,
-                logic,
-                max_rounds,
-                &mut scratch.edge_stamp,
-                &mut scratch.woken,
-                &mut scratch.staged,
-                &mut scratch.wake,
-                &mut scratch.active,
-                &mut scratch.boxes,
-                &mut scratch.stamp_base,
-            )
+            debug_assert!(scratch.is_clean(), "recycled scratch must arrive clean");
+            scratch.run(g, cfg, logic, max_rounds)
         })
         .collect();
     BATCH_SCRATCH.with(|cell| *cell.borrow_mut() = Some(scratch));
     results
 }
 
-/// Shared `&mut`-per-instance access to the logic slice.
-///
-/// Safety protocol: instance `i` is owned by worker `i % threads` for
-/// the whole run (fixed affinity), so all `&mut` references derived
-/// from this pointer are disjoint across workers, and the coordinator
-/// never touches the slice while a round is in flight (it blocks on
-/// every worker's result).
-struct LogicsPtr<L>(*mut L);
-
-impl<L> Clone for LogicsPtr<L> {
-    fn clone(&self) -> Self {
-        LogicsPtr(self.0)
-    }
-}
-
-unsafe impl<L: Send> Send for LogicsPtr<L> {}
-unsafe impl<L: Send> Sync for LogicsPtr<L> {}
-
-/// One instance's sweep segment this round: `(instance, nodes)`, where
-/// `None` inbox ranges encode the round-0 `init` sweep.
-type Segment = (usize, Vec<(NodeId, Option<InboxRange>)>);
-
-struct BatchWorkItem {
-    round: u64,
-    arena: ArenaPtr,
-    segments: Vec<Segment>,
-}
-
-struct BatchWorkResult {
-    /// Staged sends with virtual destinations; within-instance order is
-    /// the serial order (cross-instance order is immaterial — lanes are
-    /// instance-private).
-    staged: Vec<Staged>,
-    /// Wake requests (virtual ids).
-    wake: Vec<NodeId>,
-    /// Instances whose sweep raised a CONGEST violation this round.
-    failures: Vec<(usize, SimError)>,
-    /// Instances that were active this round and produced nothing —
-    /// they quiesce at this round.
-    quiesced: Vec<usize>,
-}
-
-/// The pooled batch loop: persistent scoped workers, fixed
-/// instance-to-worker affinity, channel-barrier rounds.
-fn batch_pool<L: NodeLogic + Send>(
-    g: &Graph,
-    cfg: SimConfig,
-    logics: &mut [L],
-    max_rounds: u64,
-    threads: usize,
-) -> Vec<Result<RunReport, SimError>> {
-    let b = logics.len();
-    let n = g.n();
-    let ptr = LogicsPtr(logics.as_mut_ptr());
-    std::thread::scope(|scope| {
-        let mut task_txs: Vec<Sender<BatchWorkItem>> = Vec::with_capacity(threads);
-        let mut result_rxs: Vec<Receiver<BatchWorkResult>> = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (task_tx, task_rx) = channel::<BatchWorkItem>();
-            let (result_tx, result_rx) = channel::<BatchWorkResult>();
-            task_txs.push(task_tx);
-            result_rxs.push(result_rx);
-            let ptr = ptr.clone();
-            // Worker w owns instances w, w + threads, w + 2·threads, …
-            let owned = (b - w).div_ceil(threads);
-            scope.spawn(move || {
-                batch_worker_loop(g, cfg, &ptr, b, owned, threads, &task_rx, &result_tx)
-            });
-        }
-
-        let mut staged: Vec<Staged> = Vec::new();
-        let mut wake: Vec<NodeId> = Vec::new();
-        let mut woken = LaneBits::new(b * n);
-        let mut state = BatchState::new(b, crate::runtime::Backend::Parallel { threads });
-        let mut boxes = Mailboxes::new(b * n);
-
-        // Dispatches one round's segments (already grouped per worker),
-        // merges the results in worker order, and settles failed /
-        // quiesced instances. Workers with no active instances this
-        // round are left blocked on their task channel — no message,
-        // no barrier participation.
-        let dispatch = |round: u64,
-                        arena: ArenaPtr,
-                        per_worker: Vec<Vec<Segment>>,
-                        staged: &mut Vec<Staged>,
-                        woken: &mut LaneBits,
-                        wake: &mut Vec<NodeId>,
-                        state: &mut BatchState| {
-            let mut dispatched: Vec<usize> = Vec::with_capacity(threads);
-            for (w, segments) in per_worker.into_iter().enumerate() {
-                if segments.is_empty() {
-                    continue;
-                }
-                task_txs[w]
-                    .send(BatchWorkItem {
-                        round,
-                        arena,
-                        segments,
-                    })
-                    .expect("worker alive");
-                dispatched.push(w);
-            }
-            for w in dispatched {
-                let mut result = result_rxs[w].recv().expect("worker alive");
-                staged.append(&mut result.staged);
-                merge_wake(&mut result.wake, woken, wake);
-                for (i, e) in result.failures {
-                    state.fail(i, e);
-                }
-                for i in result.quiesced {
-                    state.quiesce(i, round);
-                }
-            }
-        };
-
-        // Round 0: every instance's full init sweep, on its owner.
-        let init_segments: Vec<Vec<Segment>> = (0..threads)
-            .map(|w| {
-                (w..b)
-                    .step_by(threads)
-                    .map(|i| (i, g.nodes().map(|v| (v, None)).collect()))
-                    .collect()
-            })
-            .collect();
-        dispatch(
-            0,
-            ArenaPtr(boxes.arena().as_ptr()),
-            init_segments,
-            &mut staged,
-            &mut woken,
-            &mut wake,
-            &mut state,
-        );
-
-        let mut active: Vec<NodeId> = Vec::new();
-        // Per-instance sweep buffers, recycled across rounds (an
-        // instance's Vec is shipped to its worker and replaced by an
-        // empty one; reuse kicks in once capacities stabilize).
-        let mut per_instance: Vec<Vec<(NodeId, Option<InboxRange>)>> =
-            (0..b).map(|_| Vec::new()).collect();
-        let mut round: u64 = 0;
-        while !staged.is_empty() || !wake.is_empty() {
-            round += 1;
-            if round > max_rounds {
-                state.round_limit(max_rounds);
-                return state.into_results();
-            }
-            active.clear();
-            boxes.deliver_lanes(&mut staged, &woken, &mut active, &mut state.reports, b);
-            finish_active(&mut active, &mut wake, &mut woken);
-            // Unzip the node-major active list (sorted by (node,
-            // instance)) into per-instance segments: restricted to one
-            // instance the traversal order is ascending node order —
-            // exactly the serial sweep — and each segment is routed to
-            // its instance's owning worker.
-            for &vv in &active {
-                let id = vv.index();
-                per_instance[id % b].push((NodeId::new(id / b), Some(boxes.range(vv))));
-            }
-            let mut per_worker: Vec<Vec<Segment>> = (0..threads).map(|_| Vec::new()).collect();
-            for (i, nodes) in per_instance.iter_mut().enumerate() {
-                if !nodes.is_empty() {
-                    per_worker[i % threads].push((i, std::mem::take(nodes)));
-                }
-            }
-            dispatch(
-                round,
-                ArenaPtr(boxes.arena().as_ptr()),
-                per_worker,
-                &mut staged,
-                &mut woken,
-                &mut wake,
-                &mut state,
-            );
-        }
-        state.into_results()
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn batch_worker_loop<L: NodeLogic>(
-    g: &Graph,
-    cfg: SimConfig,
-    logics: &LogicsPtr<L>,
-    b: usize,
-    owned: usize,
-    threads: usize,
-    tasks: &Receiver<BatchWorkItem>,
-    results: &Sender<BatchWorkResult>,
-) {
-    let n = g.n();
-    let limit = cfg.max_words_per_message;
-    // Worker-local per-instance state for the owned instances only.
-    // Under the fixed `w, w + threads, w + 2·threads, …` affinity,
-    // instance `i`'s local stripe is simply `i / threads`. Edge stamps
-    // are stored edge-major (`slot·owned + stripe`): one edge
-    // direction's owned-instance epochs sit in one contiguous run, the
-    // node-major shape on the edge axis.
-    let mut edge_stamp: Vec<u64> = vec![0; 2 * g.m() * owned];
-    // Per-call wake-dedup flags (scratch: bulk-cleared after every
-    // round, a word at a time).
-    let mut flags: Vec<LaneBits> = (0..owned).map(|_| LaneBits::new(n)).collect();
-    let mut dirty: Vec<bool> = vec![false; owned];
-    let mut staged: Vec<Staged> = Vec::new();
-    let mut wake: Vec<NodeId> = Vec::new();
-    while let Ok(BatchWorkItem {
-        round,
-        arena,
-        segments,
-    }) = tasks.recv()
-    {
-        let mut failures = Vec::new();
-        let mut quiesced = Vec::new();
-        for (i, nodes) in segments {
-            let stripe = i / threads;
-            let (smark, wmark) = (staged.len(), wake.len());
-            let mut error: Option<SimError> = None;
-            let lane = LaneCtx {
-                lane_stride: b,
-                lane_off: i,
-                stamp_stride: owned,
-                stamp_off: stripe,
-                stamp: round + 1,
-            };
-            for (v, range) in nodes {
-                // SAFETY: see `LogicsPtr` — instance i is owned by this
-                // worker alone, and the coordinator blocks on our result
-                // before touching the slice again.
-                let logic = unsafe { &mut *logics.0.add(i) };
-                // SAFETY: see `ArenaPtr` — the arena is immutable and
-                // alive until the coordinator receives this round's
-                // result, and ranges partition its initialized length.
-                let inbox = range.map(|(start, end)| unsafe {
-                    std::slice::from_raw_parts(arena.0.add(start as usize), (end - start) as usize)
-                });
-                let mut out = Outbox::assemble(
-                    v,
-                    g,
-                    limit,
-                    round,
-                    lane,
-                    &mut staged,
-                    &mut edge_stamp,
-                    &mut wake,
-                    &mut flags[stripe],
-                    &mut error,
-                );
-                match inbox {
-                    None => logic.init(v, &mut out),
-                    Some(inbox) => logic.round(v, inbox, &mut out),
-                }
-                if error.is_some() {
-                    break;
-                }
-            }
-            if let Some(e) = error {
-                // Within a round each instance sweeps once, so this
-                // stripe's flags are exactly the wake entries staged
-                // since `wmark`: drop both wholesale (word-at-a-time).
-                staged.truncate(smark);
-                wake.truncate(wmark);
-                flags[stripe].clear_all();
-                failures.push((i, e));
-            } else if staged.len() == smark && wake.len() == wmark {
-                quiesced.push(i);
-            }
-        }
-        // Reset the surviving wake-dedup flags before shipping the
-        // batch: mark the stripes that woke anything, then bulk-clear
-        // each dirty stripe a word (64 lanes) at a time.
-        let staged_out = std::mem::take(&mut staged);
-        let wake_out = std::mem::take(&mut wake);
-        for &vv in &wake_out {
-            dirty[(vv.index() % b) / threads] = true;
-        }
-        for (stripe, d) in dirty.iter_mut().enumerate() {
-            if *d {
-                flags[stripe].clear_all();
-                *d = false;
-            }
-        }
-        if results
-            .send(BatchWorkResult {
-                staged: staged_out,
-                wake: wake_out,
-                failures,
-                quiesced,
-            })
-            .is_err()
-        {
-            return; // coordinator gone (round limit); shut down
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use planartest_graph::NodeId;
+
     use super::*;
-    use crate::engine::{Engine, Msg};
+    use crate::engine::{Engine, Msg, Outbox};
 
     fn path(k: usize) -> Graph {
         Graph::from_edges(k, (0..k - 1).map(|i| (i, i + 1))).unwrap()
     }
 
     /// Floods from a configurable source; run length depends on the
-    /// source position, so instances drop out of the batch at
-    /// different rounds.
+    /// source position, so instances finish after different rounds.
     struct FloodFrom {
         src: usize,
         seen: Vec<bool>,
@@ -758,22 +117,19 @@ mod tests {
         let g = path(12);
         let srcs = [0usize, 5, 11, 6];
         let expected = sequential_baseline(&g, &srcs);
-        for threads in [1, 2, 3] {
-            let mut logics: Vec<FloodFrom> =
-                srcs.iter().map(|&s| FloodFrom::new(s, g.n())).collect();
-            let reports = execute_batch(&g, SimConfig::default(), &mut logics, 10_000, threads);
-            for (k, report) in reports.iter().enumerate() {
-                let report = report.as_ref().unwrap();
-                assert_eq!(*report, expected[k].0, "instance {k} threads {threads}");
-                assert_eq!(logics[k].seen, expected[k].1, "instance {k}");
-            }
-            // The source in the middle finishes sooner than the corner
-            // sources: per-instance round counts genuinely differ.
-            assert_ne!(
-                reports[0].as_ref().unwrap().rounds,
-                reports[3].as_ref().unwrap().rounds
-            );
+        let mut logics: Vec<FloodFrom> = srcs.iter().map(|&s| FloodFrom::new(s, g.n())).collect();
+        let reports = run_consecutive(&g, SimConfig::default(), &mut logics, 10_000);
+        for (k, report) in reports.iter().enumerate() {
+            let report = report.as_ref().unwrap();
+            assert_eq!(*report, expected[k].0, "instance {k}");
+            assert_eq!(logics[k].seen, expected[k].1, "instance {k}");
         }
+        // The source in the middle finishes sooner than the corner
+        // sources: per-instance round counts genuinely differ.
+        assert_ne!(
+            reports[0].as_ref().unwrap().rounds,
+            reports[3].as_ref().unwrap().rounds
+        );
     }
 
     #[test]
@@ -796,31 +152,22 @@ mod tests {
         }
         let g = path(8);
         let clean = sequential_baseline(&g, &[0]);
-        for threads in [1, 2] {
-            let mut logics = vec![
-                MaybeViolate {
-                    violate: false,
-                    inner: FloodFrom::new(0, 8),
-                },
-                MaybeViolate {
-                    violate: true,
-                    inner: FloodFrom::new(0, 8),
-                },
-                MaybeViolate {
-                    violate: false,
-                    inner: FloodFrom::new(0, 8),
-                },
-            ];
-            let reports = execute_batch(&g, SimConfig::default(), &mut logics, 100, threads);
-            assert_eq!(*reports[0].as_ref().unwrap(), clean[0].0);
-            assert!(matches!(
-                reports[1],
-                Err(SimError::MessageTooLarge { words: 9, .. })
-            ));
-            assert_eq!(*reports[2].as_ref().unwrap(), clean[0].0);
-            assert_eq!(logics[0].inner.seen, clean[0].1);
-            assert_eq!(logics[2].inner.seen, clean[0].1);
-        }
+        let mut logics: Vec<MaybeViolate> = [false, true, false]
+            .into_iter()
+            .map(|violate| MaybeViolate {
+                violate,
+                inner: FloodFrom::new(0, 8),
+            })
+            .collect();
+        let reports = run_consecutive(&g, SimConfig::default(), &mut logics, 100);
+        assert_eq!(*reports[0].as_ref().unwrap(), clean[0].0);
+        assert!(matches!(
+            reports[1],
+            Err(SimError::MessageTooLarge { words: 9, .. })
+        ));
+        assert_eq!(*reports[2].as_ref().unwrap(), clean[0].0);
+        assert_eq!(logics[0].inner.seen, clean[0].1);
+        assert_eq!(logics[2].inner.seen, clean[0].1);
     }
 
     #[test]
@@ -839,12 +186,10 @@ mod tests {
             }
         }
         let g = path(2);
-        for threads in [1, 2] {
-            let mut logics = vec![PingPong, PingPong];
-            let reports = execute_batch(&g, SimConfig::default(), &mut logics, 9, threads);
-            for r in reports {
-                assert_eq!(r.unwrap_err(), SimError::RoundLimitExceeded { limit: 9 });
-            }
+        let mut logics = vec![PingPong, PingPong];
+        let reports = run_consecutive(&g, SimConfig::default(), &mut logics, 9);
+        for r in reports {
+            assert_eq!(r.unwrap_err(), SimError::RoundLimitExceeded { limit: 9 });
         }
     }
 
@@ -856,10 +201,11 @@ mod tests {
             fn round(&mut self, _: NodeId, _: &[(NodeId, Msg)], _: &mut Outbox<'_>) {}
         }
         let g = path(3);
+        let mut engine = Engine::new(&g, SimConfig::default());
         let mut none: Vec<Silent> = Vec::new();
-        assert!(run_batch(&g, SimConfig::default(), &mut none, 10).is_empty());
+        assert!(engine.run_batch(&mut none, 10).is_empty());
         let mut some = vec![Silent, Silent];
-        let reports = run_batch(&g, SimConfig::default(), &mut some, 10);
+        let reports = engine.run_batch(&mut some, 10);
         for r in reports {
             assert_eq!(r.unwrap().rounds, 0);
         }
@@ -868,15 +214,13 @@ mod tests {
     #[test]
     fn batch_engine_accumulates_stats() {
         let g = path(6);
-        let mut batch = BatchEngine::new(&g, SimConfig::default()).with_threads(2);
+        let mut engine = Engine::new(&g, SimConfig::default());
         let mut logics: Vec<FloodFrom> = (0..3).map(|s| FloodFrom::new(s, 6)).collect();
-        let reports = batch.run(&mut logics, 100);
+        let reports = engine.run_batch(&mut logics, 100);
         let total_msgs: u64 = reports.iter().map(|r| r.as_ref().unwrap().messages).sum();
-        assert_eq!(batch.stats().messages, total_msgs);
-        assert_eq!(batch.stats().runs, 3);
-        batch.charge_rounds(5);
-        assert_eq!(batch.stats().charged_rounds, 5);
-        assert_eq!(batch.graph().n(), 6);
-        assert_eq!(batch.config(), SimConfig::default());
+        assert_eq!(engine.stats().messages, total_msgs);
+        assert_eq!(engine.stats().runs, 3);
+        engine.charge_rounds(5);
+        assert_eq!(engine.stats().charged_rounds, 5);
     }
 }

@@ -1,14 +1,9 @@
-//! SWAR lane bitsets: the `woken` / wake-dedup state of batched runs.
+//! SWAR lane bitsets: the wake-dedup flags of the engine's round loop.
 //!
-//! Under node-major batching ([`crate::runtime::batch`]) one node's `B`
-//! instance lanes occupy one contiguous stripe of the per-lane state, so
-//! the hot bookkeeping — "is this lane wake-flagged?", "clear every flag
-//! this worker touched", "did anything survive the round?" — walks runs
-//! of adjacent lanes. [`LaneBits`] stores those flags one **bit** per
-//! lane and implements the bulk operations as explicit u64 SWAR
-//! (SIMD-within-a-register): a word-at-a-time clear touches 64 lanes per
-//! store, and the quiescence scan is a branch-free OR-reduction over the
-//! words.
+//! [`LaneBits`] stores one flag **bit** per node and implements the bulk
+//! operations as explicit u64 SWAR (SIMD-within-a-register): a
+//! word-at-a-time clear touches 64 flags per store, and the quiescence
+//! scan is a branch-free OR-reduction over the words.
 //!
 //! Both the SWAR kernels and a portable per-bit scalar reference are
 //! always compiled (`*_words` / `*_scalar`); the default dispatch picks
@@ -17,7 +12,7 @@
 //! against it (CI exercises both). The two paths are proven equivalent
 //! by the `kernel_equivalence` proptests.
 
-/// A fixed-length bitset over virtual lane ids (one bit per lane).
+/// A fixed-length bitset over lane ids (one bit per lane).
 ///
 /// Replaces the historical `Vec<bool>` wake flags: 8× denser, and the
 /// bulk clear/scan operations work a word (64 lanes) at a time.

@@ -9,8 +9,8 @@ use std::fmt;
 
 use planartest_graph::{Graph, NodeId};
 
+use crate::engine::Engine;
 use crate::engine::{Msg, NodeLogic, Outbox, SimError};
-use crate::runtime::EngineCore;
 
 /// A rooted forest over the nodes of a graph, where every parent link is a
 /// graph edge. Nodes with no parent are roots (isolated nodes are trivial
@@ -201,14 +201,13 @@ impl<F: FnMut(NodeId) -> Option<Msg>> NodeLogic for BroadcastLogic<'_, F> {
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s (e.g. payload over bandwidth).
-pub fn broadcast<'g, E, F>(
-    engine: &mut E,
+pub fn broadcast<F>(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     payload: F,
     max_rounds: u64,
 ) -> Result<Vec<Option<Msg>>, SimError>
 where
-    E: EngineCore<'g>,
     F: FnMut(NodeId) -> Option<Msg>,
 {
     let n = engine.graph().n();
@@ -217,7 +216,7 @@ where
         payload,
         received: vec![None; n],
     };
-    engine.run_logic(&mut logic, max_rounds)?;
+    engine.run(&mut logic, max_rounds)?;
     Ok(logic.received)
 }
 
@@ -269,14 +268,13 @@ impl<F: FnMut(NodeId, &[(NodeId, Msg)]) -> Msg> NodeLogic for ConvergecastLogic<
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s.
-pub fn convergecast<'g, E, F>(
-    engine: &mut E,
+pub fn convergecast<F>(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     combine: F,
     max_rounds: u64,
 ) -> Result<Vec<Option<Msg>>, SimError>
 where
-    E: EngineCore<'g>,
     F: FnMut(NodeId, &[(NodeId, Msg)]) -> Msg,
 {
     let n = engine.graph().n();
@@ -287,7 +285,7 @@ where
         gathered: vec![Vec::new(); n],
         result: vec![None; n],
     };
-    engine.run_logic(&mut logic, max_rounds)?;
+    engine.run(&mut logic, max_rounds)?;
     Ok(logic.result)
 }
 
@@ -418,7 +416,6 @@ mod tests {
             &g,
             SimConfig {
                 max_words_per_message: 2,
-                ..SimConfig::default()
             },
         );
         let err = broadcast(&mut engine, &tree, |_| Some(Msg::words(&[0; 3])), 100).unwrap_err();

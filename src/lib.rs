@@ -44,7 +44,7 @@
 //! Implementing the paper surfaced a correctness gap: Claim 10 (planar
 //! parts have no *violating* non-tree edges under embedding-derived
 //! labels) is refuted by a 7-node planar counterexample — see
-//! `EXPERIMENTS.md` (E6) and
+//! the README's experiment E6 and
 //! `crates/core/tests/claim10_refutation.rs`. The default tester
 //! therefore rejects on *certified* per-part non-planarity (an evidence
 //! path the paper itself describes) and reports violating edges as
