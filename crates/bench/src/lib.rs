@@ -30,6 +30,8 @@ use planartest_sim::{Engine, SimConfig, TrialRunner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::json::Json;
+
 pub mod json;
 mod load_bench;
 mod persist_bench;
@@ -43,6 +45,48 @@ pub use load_bench::{
 pub use persist_bench::{persist_bench, persist_bench_document, PersistGate};
 pub use runtime_bench::{runtime_bench, runtime_bench_document, BenchGate};
 pub use service_load::{service_load, service_load_document, ServiceGate};
+
+/// Logical cores the OS offers this process (ignores
+/// `PLANARTEST_THREADS`, which only sizes the pool).
+fn logical_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Physical cores — distinct `(physical id, core id)` pairs in
+/// `/proc/cpuinfo` — or `None` where that file is absent or silent.
+fn physical_cores() -> Option<usize> {
+    let text = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let mut cores = std::collections::BTreeSet::new();
+    let mut package = "";
+    for line in text.lines() {
+        let Some((key, value)) = line.split_once(':') else {
+            continue;
+        };
+        match key.trim() {
+            "physical id" => package = value.trim(),
+            "core id" => {
+                cores.insert((package, value.trim()));
+            }
+            _ => {}
+        }
+    }
+    (!cores.is_empty()).then_some(cores.len())
+}
+
+/// The host a benchmark document was measured on: every `BENCH_*.json`
+/// writer records it as `host`.
+fn host_record() -> Json {
+    Json::obj()
+        .field("logical_cores", logical_cores())
+        .field(
+            "physical_cores",
+            physical_cores().map_or(Json::Null, Json::from),
+        )
+        .field(
+            "PLANARTEST_THREADS",
+            std::env::var("PLANARTEST_THREADS").map_or(Json::Null, Json::from),
+        )
+}
 
 /// Whether quick (CI-sized) sweeps were requested.
 pub fn quick() -> bool {

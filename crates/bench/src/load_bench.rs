@@ -379,7 +379,7 @@ mod sweep {
         build_workload, corpus, warm_seeds, Json, LoadGate, OpKind, CONNECTIONS, EPSILONS,
         KNEE_FRACTION, LOAD_SEED, PHASES,
     };
-    use crate::quick;
+    use crate::{host_record, quick};
 
     /// Everything measured at one sweep rate.
     pub(super) struct RateOutcome {
@@ -966,6 +966,7 @@ mod sweep {
         let doc = Json::obj()
             .field("schema", "planartest-bench/load/v2")
             .field("quick_mode", quick())
+            .field("host", host_record())
             .field("seed", LOAD_SEED)
             .field("connections", CONNECTIONS as u64)
             .field("corpus", corpus_rows)

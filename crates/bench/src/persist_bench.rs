@@ -30,7 +30,7 @@ use planartest_core::TesterConfig;
 use planartest_service::{CacheStatus, GraphRef, Histogram, Query, Service};
 
 use crate::json::Json;
-use crate::quick;
+use crate::{host_record, quick};
 
 /// Certified-far corpus: every member rejects, so every cold query
 /// mints a durable certificate.
@@ -327,6 +327,7 @@ pub fn persist_bench_document() -> (Json, PersistGate) {
     let doc = Json::obj()
         .field("schema", "planartest-bench/persist/v1")
         .field("quick_mode", quick())
+        .field("host", host_record())
         .field("certificate_replay", replay_row)
         .field("streaming_ingest", stream_row)
         .field("tier_parity", parity_row)

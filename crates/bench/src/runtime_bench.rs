@@ -16,7 +16,7 @@ use planartest_sim::runtime::TrialRunner;
 use planartest_sim::{Engine, LaneBits, Msg, NodeLogic, Outbox, SimConfig};
 
 use crate::json::Json;
-use crate::quick;
+use crate::{host_record, quick};
 
 /// The flood workload used for raw engine throughput.
 struct FloodLogic {
@@ -504,47 +504,6 @@ impl BenchGate {
     }
 }
 
-/// Logical cores the OS offers this process (ignores
-/// `PLANARTEST_THREADS`, which only sizes the pool).
-fn logical_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Physical cores — distinct `(physical id, core id)` pairs in
-/// `/proc/cpuinfo` — or `None` where that file is absent or silent.
-fn physical_cores() -> Option<usize> {
-    let text = std::fs::read_to_string("/proc/cpuinfo").ok()?;
-    let mut cores = std::collections::BTreeSet::new();
-    let mut package = "";
-    for line in text.lines() {
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        match key.trim() {
-            "physical id" => package = value.trim(),
-            "core id" => {
-                cores.insert((package, value.trim()));
-            }
-            _ => {}
-        }
-    }
-    (!cores.is_empty()).then_some(cores.len())
-}
-
-/// The host the document was measured on.
-fn host_record() -> Json {
-    Json::obj()
-        .field("logical_cores", logical_cores())
-        .field(
-            "physical_cores",
-            physical_cores().map_or(Json::Null, Json::from),
-        )
-        .field(
-            "PLANARTEST_THREADS",
-            std::env::var("PLANARTEST_THREADS").map_or(Json::Null, Json::from),
-        )
-}
-
 /// Builds the full benchmark document (also printed as tables) and the
 /// CI gate derived from it.
 #[must_use]
@@ -595,6 +554,7 @@ pub fn runtime_bench() -> BenchGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{logical_cores, physical_cores};
 
     #[test]
     fn tester_workload_row_has_required_fields() {
@@ -612,12 +572,24 @@ mod tests {
 
     #[test]
     fn host_record_names_the_cores() {
-        let text = host_record().pretty();
+        let host = host_record();
+        let text = host.pretty();
         for key in ["logical_cores", "physical_cores", "PLANARTEST_THREADS"] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
         assert!(logical_cores() >= 1);
         assert_ne!(physical_cores(), Some(0));
+        // The record is the values themselves, and it survives the
+        // artifact round trip every `BENCH_*.json` writer puts it through.
+        let reread = Json::parse(&text).expect("host record parses");
+        assert_eq!(
+            reread.get("logical_cores").and_then(Json::as_u64),
+            Some(logical_cores() as u64)
+        );
+        assert_eq!(
+            reread.get("physical_cores").and_then(Json::as_u64),
+            physical_cores().map(|c| c as u64)
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use planartest_core::TesterConfig;
 use planartest_service::{CacheStatus, GraphRef, Histogram, Outcome, Property, Query, Service};
 
 use crate::json::Json;
-use crate::quick;
+use crate::{host_record, quick};
 
 fn latency_row(label: &str, micros: &[u64], wall_secs: f64) -> (Json, u64) {
     let mut hist = Histogram::new();
@@ -526,6 +526,7 @@ pub fn service_load_document() -> (Json, ServiceGate) {
     let doc = Json::obj()
         .field("schema", "planartest-bench/service/v3")
         .field("quick_mode", quick())
+        .field("host", host_record())
         .field(
             "registry",
             Json::obj()

@@ -35,10 +35,10 @@
 //!   `TrialRunner` worker pool with bit-for-bit sequential-equal
 //!   results, and responses attribute per-query latency from the
 //!   per-instance round accounting.
-//! * [`scheduler::Server`] — the concurrent form: a dedicated thread
+//! * [`scheduler::Server`] — the same cycle, served: a dedicated thread
 //!   owns the service and drains a shared submission queue on
 //!   queue-depth or linger-timer wakeups, so *independent clients'*
-//!   same-graph queries coalesce automatically. The server cycle is
+//!   same-graph queries coalesce automatically. Served cycles are
 //!   *pipelined*: warm/certificate hits are answered at resolve time
 //!   (ahead of the execute barrier), next-cycle arrivals resolve while
 //!   the engine runs, and graceful shutdown (stdin EOF, SIGTERM)

@@ -302,11 +302,8 @@ fn handle_batch(service: &mut Service, req: &Value) -> Value {
         Ok(p) => p,
         Err(e) => return error(e),
     };
-    for q in parsed {
-        service.submit(q);
-    }
     let responses: Vec<Value> = service
-        .drain()
+        .query_many(parsed)
         .iter()
         .map(|(_, result)| match result {
             Ok(r) => response_value(r),
@@ -550,6 +547,35 @@ mod tests {
             assert_eq!(resp.get("coalesced").unwrap().as_u64(), Some(3));
         }
         assert_eq!(s.engine_passes(), 1);
+    }
+
+    #[test]
+    fn batch_serves_only_its_own_members() {
+        // A `batch` line answers exactly its members: a query a library
+        // caller submitted earlier stays queued for that caller's drain.
+        let mut s = Service::new();
+        ingest(&mut s, "p", "tri_grid(4,4)");
+        let cfg = TesterConfig::new(0.2).with_phases(5).with_seed(11);
+        let pending = s.submit(Query::planarity(GraphRef::Name("p".into()), cfg));
+        let member = Value::obj()
+            .field("graph", "p")
+            .field("epsilon", 0.2)
+            .field("phases", 5u64)
+            .field("seed", 22u64);
+        let r = handle_request(
+            &mut s,
+            &Value::obj()
+                .field("op", "batch")
+                .field("queries", vec![member]),
+        );
+        let responses = r.get("responses").unwrap().as_arr().unwrap();
+        assert_eq!(responses.len(), 1);
+        assert_eq!(responses[0].get("seed").unwrap().as_u64(), Some(22));
+        assert_eq!(s.pending(), 1);
+        let drained = s.drain();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].0, pending);
+        assert_eq!(drained[0].1.as_ref().unwrap().seed, 11);
     }
 
     #[test]

@@ -18,30 +18,33 @@
 //!    group order and fill every response slot, submission order
 //!    preserved.
 //!
-//! [`Service::drain`] is the synchronous, caller-driven form of that
-//! pipeline (one cycle, responses returned). [`Server`] is the
-//! concurrent form: a dedicated thread owns the service and runs a
-//! *pipelined* version of the same cycle against the shared
-//! [`SubmissionQueue`] that every transport
-//! ([`crate::transport`]) feeds, waking on queue depth, a control op,
-//! or a configurable linger timer — so *independent clients'*
-//! same-graph queries coalesce into shared engine passes without any
-//! client knowing about the others. The pipelined loop differs from
-//! the synchronous drain in wall-clock shape only, never in results:
+//! There is one cycle: one resolver mints each query's id and resolves
+//! it, and one per-cycle accumulator collects the response slots, the
+//! misses bound for the group stage, and the replies owed per
+//! connection. [`Service::drain`] runs that cycle over everything
+//! [`submit`](Service::submit)ted and executes inline. [`Server`] runs
+//! the same cycle on a dedicated thread against the shared
+//! [`SubmissionQueue`] that every transport ([`crate::transport`])
+//! feeds, waking on queue depth, a control op, or a configurable linger
+//! timer — so *independent clients'* same-graph queries coalesce into
+//! shared engine passes without any client knowing about the others.
+//! Serving it from a socket changes the cycle's wall-clock shape only,
+//! never its results:
 //!
 //! - **writes are off the critical path** — responses go to bounded
 //!   per-connection outbound queues drained by dedicated writer
 //!   threads ([`Connections`]), so one stalled client cannot block
 //!   the cycle;
-//! - **hits take a fast path** — warm-cache and certificate answers
-//!   are enqueued to their connection's writer at resolve time,
-//!   before the cycle's execute barrier;
-//! - **cycles overlap** — while the group-execution pool runs cycle
-//!   N's engine passes, the drain thread resolves cycle N+1's
-//!   arrivals against the cache (deferring anything that touches an
-//!   in-flight group or needs mutable service state).
+//! - **hits take a fast path** — a `query` or `batch` whose members
+//!   all hit the cache is answered at resolve time, before the
+//!   cycle's execute barrier;
+//! - **cycles overlap** — execute runs on a scoped thread while the
+//!   drain thread resolves new arrivals straight into the *next*
+//!   cycle's accumulator. Only what cannot be resolved early is carried
+//!   raw: a query touching an in-flight group, and a control op with
+//!   everything behind it on its own connection.
 //!
-//! Responses are still routed back per-connection in submission order
+//! Responses are routed back per-connection in submission order
 //! (a sequencing router re-orders out-of-order fulfilments), and a
 //! shutdown request (stdin EOF, SIGTERM) flushes everything pending —
 //! including the outbound writer queues — before the loop exits.
@@ -159,14 +162,6 @@ pub(crate) struct Resolved {
     /// Stage spans so far: submit stamp, queue and resolve spans
     /// filled; execute/respond stamped by `apply_group`.
     pub(crate) stages: StageTimes,
-}
-
-/// What the resolve stage decided for one query.
-pub(crate) enum Resolution {
-    /// Answered without engine work (cache hit or resolution failure).
-    Done(Result<QueryResponse, ServiceError>),
-    /// Needs an engine pass; goes to the group stage.
-    Miss(Resolved),
 }
 
 /// The long-running query service (see the crate-level docs for the
@@ -418,7 +413,7 @@ impl Service {
     /// id. The submit stamp taken here is the origin of the query's
     /// queue-wait stage span.
     pub fn submit(&mut self, query: Query) -> QueryId {
-        let id = self.next_query_id();
+        let id = mint(&mut self.next_id);
         let at = self.telemetry.now_micros();
         self.queue.push((id, query, at));
         id
@@ -430,12 +425,6 @@ impl Service {
         self.queue.len()
     }
 
-    fn next_query_id(&mut self) -> QueryId {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
     /// Serves one query immediately (a drain of one). Queries already
     /// [`submit`](Self::submit)ted stay queued for the next
     /// [`drain`](Self::drain) — this serves *only* the given query.
@@ -444,14 +433,17 @@ impl Service {
     ///
     /// Resolution or engine failures for this query.
     pub fn query(&mut self, query: Query) -> Result<QueryResponse, ServiceError> {
-        let pending = std::mem::take(&mut self.queue);
-        let id = self.submit(query);
-        let mut drained = self.drain();
-        self.queue = pending;
-        debug_assert_eq!(drained.len(), 1);
-        let (got, result) = drained.pop().expect("one pending query");
-        debug_assert_eq!(got, id);
+        let (_, result) = self.query_many(vec![query]).pop().expect("one query");
         result
+    }
+
+    /// Serves `queries` immediately as one cycle of their own, in order
+    /// (same-key members share engine passes). Like
+    /// [`query`](Self::query), it leaves the [`submit`](Self::submit)
+    /// queue untouched.
+    pub(crate) fn query_many(&mut self, queries: Vec<Query>) -> Vec<DrainedQuery> {
+        let at = self.telemetry.now_micros();
+        self.run_cycle(queries.into_iter().map(|query| (None, query, at)))
     }
 
     /// Drains the queue: one full resolve → group → execute → respond
@@ -463,68 +455,56 @@ impl Service {
     /// shared the pass).
     pub fn drain(&mut self) -> Vec<DrainedQuery> {
         let pending = std::mem::take(&mut self.queue);
-        let mut results: Vec<Option<DrainedQuery>> = Vec::new();
-        results.resize_with(pending.len(), || None);
+        self.run_cycle(
+            pending
+                .into_iter()
+                .map(|(id, query, at)| (Some(id), query, at)),
+        )
+    }
 
-        // Stage 1: resolve (cache hits answered in place).
-        let mut misses: Vec<(usize, Resolved)> = Vec::new();
-        for (slot, (id, query, at)) in pending.into_iter().enumerate() {
-            match self.resolve_one(id, query, at, None, Route::Cycle) {
-                Resolution::Done(result) => results[slot] = Some((id, result)),
-                Resolution::Miss(resolved) => misses.push((slot, resolved)),
-            }
+    /// One synchronous cycle over `(id, query, submit stamp)` triples
+    /// (`None` mints the id at resolve time), executed inline.
+    fn run_cycle(
+        &mut self,
+        pending: impl Iterator<Item = (Option<QueryId>, Query, u64)>,
+    ) -> Vec<DrainedQuery> {
+        let mut cycle = Cycle::default();
+        let (mut resolver, runner) = self.split(Route::Cycle);
+        for (id, query, at) in pending {
+            resolver.resolve(&mut cycle, id, query, at, None);
         }
-
-        // Stage 2: group. Stage 3: execute (pure, possibly parallel).
-        let groups = group_misses(misses);
-        let clock = self.telemetry.clock();
-        let passes = execute_groups(&self.registry, &groups, &self.runner, &clock);
-
-        // Stage 4: respond (ordered state, sequential in group order).
+        let groups = group_misses(std::mem::take(&mut cycle.misses));
+        let clock = resolver.telemetry.clock();
+        let passes = execute_groups(resolver.registry, &groups, runner, &clock);
         for (group, pass) in groups.into_iter().zip(passes) {
-            self.apply_group(group, pass, &mut results);
+            self.apply_group(group, pass, &mut cycle.slots);
         }
-
-        results
+        cycle
+            .slots
             .into_iter()
-            .map(|r| r.expect("every pending query answered"))
+            .map(|slot| slot.expect("every pending query answered"))
             .collect()
     }
 
-    /// Stage 1 for one query: registry resolution + cache lookup. See
-    /// [`resolve_query`] (the pipelined drain loop calls the free form
-    /// with split field borrows while the execute stage holds the
-    /// registry).
-    pub(crate) fn resolve_one(
-        &mut self,
-        id: QueryId,
-        query: Query,
-        submitted_micros: u64,
-        conn: Option<ConnectionId>,
-        route: Route,
-    ) -> Resolution {
-        resolve_query(
-            &self.registry,
-            &mut self.cache,
-            &self.telemetry,
-            &mut self.queries_served,
-            id,
-            query,
-            submitted_micros,
-            conn,
+    /// Borrows the service field by field: a [`Resolver`] labelling its
+    /// hits with `route`, plus the group-execution pool, so the execute
+    /// stage can hold the registry while resolves continue.
+    fn split(&mut self, route: Route) -> (Resolver<'_>, &TrialRunner) {
+        let resolver = Resolver {
+            registry: &self.registry,
+            cache: &mut self.cache,
+            telemetry: &self.telemetry,
+            queries_served: &mut self.queries_served,
+            next_id: &mut self.next_id,
             route,
-        )
+        };
+        (resolver, &self.runner)
     }
 
     /// Stage 4 for one group: bump the pass counter, record outcomes in
     /// the cache, and fill the members' response slots with per-query
     /// latency attribution.
-    pub(crate) fn apply_group(
-        &mut self,
-        group: Group,
-        pass: GroupPass,
-        results: &mut [Option<DrainedQuery>],
-    ) {
+    fn apply_group(&mut self, group: Group, pass: GroupPass, results: &mut [Option<DrainedQuery>]) {
         self.engine_passes += 1;
         // One stamp closes every member's execute span (resolve end →
         // the group's pass applied here); one more, after the cache
@@ -624,77 +604,181 @@ impl Service {
     }
 }
 
-/// Stage 1 for one query, in free form: registry resolution + cache
-/// lookup against explicitly-borrowed service fields, so the pipelined
-/// drain loop can resolve cycle N+1's arrivals while the execute stage
-/// holds shared borrows of the registry and runner.
-///
-/// Stage spans stay contiguous by construction: the queue span ends
-/// on the single stamp taken at entry, and the resolve span ends on
-/// the single stamp taken when the walk finishes — so
-/// `queue + resolve (+ execute + respond)` sums *exactly* to
-/// end-to-end on the service clock.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resolve_query(
-    registry: &GraphRegistry,
-    cache: &mut ResultCache,
-    telemetry: &Telemetry,
-    queries_served: &mut u64,
-    id: QueryId,
-    query: Query,
-    submitted_micros: u64,
-    conn: Option<ConnectionId>,
+/// Takes the next id off the service's one query-id counter.
+fn mint(next_id: &mut QueryId) -> QueryId {
+    let id = *next_id;
+    *next_id += 1;
+    id
+}
+
+/// The service state one resolve touches, borrowed field by field (see
+/// [`Service::split`]): the pipelined drain loop keeps resolving the
+/// next cycle's arrivals while the execute stage holds the registry.
+struct Resolver<'s> {
+    registry: &'s GraphRegistry,
+    cache: &'s mut ResultCache,
+    telemetry: &'s Telemetry,
+    queries_served: &'s mut u64,
+    next_id: &'s mut QueryId,
+    /// The route hits answered here are recorded under.
     route: Route,
-) -> Resolution {
-    *queries_served += 1;
-    let resolve_start = telemetry.now_micros();
-    let mut stages = StageTimes {
-        submitted_micros,
-        queue_micros: resolve_start.saturating_sub(submitted_micros),
-        ..StageTimes::default()
-    };
-    let close = |stages: &mut StageTimes, telemetry: &Telemetry| {
-        stages.resolve_micros = telemetry.now_micros().saturating_sub(resolve_start);
-    };
-    let entry = match registry.resolve(&query.graph) {
-        Ok(e) => e,
-        Err(err) => {
-            close(&mut stages, telemetry);
-            telemetry.record_failed_query(stages);
-            return Resolution::Done(Err(err));
-        }
-    };
-    let key = CacheKey {
-        graph: entry.fingerprint,
-        config: query.cfg.fingerprint(),
-        property: query.property,
-    };
-    let seed = query.cfg.seed;
-    if let Some((outcome, status, stored_seed)) = cache.lookup(&key, seed) {
-        close(&mut stages, telemetry);
-        telemetry.record_query(conn, id, query.property, status, route, stages, 0, 0);
-        return Resolution::Done(Ok(QueryResponse {
-            id,
-            graph: key.graph,
+}
+
+impl Resolver<'_> {
+    /// Stage 1 for one query: mint its id (unless
+    /// [`Service::submit`] already did), resolve the graph reference,
+    /// build the cache key, and answer a warm/certificate hit or a
+    /// resolution failure in place. A miss leaves its slot empty and
+    /// joins `cycle`'s group stage. Returns the query's slot.
+    ///
+    /// Stage spans stay contiguous by construction: the queue span ends
+    /// on the single stamp taken at entry, and the resolve span ends on
+    /// the single stamp taken when the walk finishes — so
+    /// `queue + resolve (+ execute + respond)` sums *exactly* to
+    /// end-to-end on the service clock.
+    fn resolve(
+        &mut self,
+        cycle: &mut Cycle,
+        id: Option<QueryId>,
+        query: Query,
+        submitted_micros: u64,
+        conn: Option<ConnectionId>,
+    ) -> usize {
+        let id = id.unwrap_or_else(|| mint(self.next_id));
+        let slot = cycle.slots.len();
+        let telemetry = self.telemetry;
+        *self.queries_served += 1;
+        let resolve_start = telemetry.now_micros();
+        let mut stages = StageTimes {
+            submitted_micros,
+            queue_micros: resolve_start.saturating_sub(submitted_micros),
+            ..StageTimes::default()
+        };
+        let close = |stages: &mut StageTimes| {
+            stages.resolve_micros = telemetry.now_micros().saturating_sub(resolve_start);
+        };
+        let entry = match self.registry.resolve(&query.graph) {
+            Ok(e) => e,
+            Err(err) => {
+                close(&mut stages);
+                telemetry.record_failed_query(stages);
+                cycle.slots.push(Some((id, Err(err))));
+                return slot;
+            }
+        };
+        let key = CacheKey {
+            graph: entry.fingerprint,
+            config: query.cfg.fingerprint(),
             property: query.property,
-            seed: stored_seed,
-            outcome,
-            cache: status,
-            coalesced: 0,
-            engine_micros: 0,
-            attributed_micros: 0,
-            stages,
-        }));
+        };
+        let seed = query.cfg.seed;
+        if let Some((outcome, status, stored_seed)) = self.cache.lookup(&key, seed) {
+            close(&mut stages);
+            telemetry.record_query(conn, id, query.property, status, self.route, stages, 0, 0);
+            cycle.slots.push(Some((
+                id,
+                Ok(QueryResponse {
+                    id,
+                    graph: key.graph,
+                    property: query.property,
+                    seed: stored_seed,
+                    outcome,
+                    cache: status,
+                    coalesced: 0,
+                    engine_micros: 0,
+                    attributed_micros: 0,
+                    stages,
+                }),
+            )));
+            return slot;
+        }
+        close(&mut stages);
+        cycle.slots.push(None);
+        cycle.misses.push((
+            slot,
+            Resolved {
+                id,
+                key,
+                seed,
+                query,
+                conn,
+                stages,
+            },
+        ));
+        slot
     }
-    close(&mut stages, telemetry);
-    Resolution::Miss(Resolved {
-        id,
-        key,
-        seed,
-        query,
-        conn,
-        stages,
-    })
+}
+
+/// One drain cycle's accumulator: a response slot per resolved query
+/// (filled at resolve time for hits, by the respond stage for misses),
+/// the misses bound for the group stage, and the reply lines owed to
+/// router tokens once the cycle's passes are applied.
+#[derive(Default)]
+struct Cycle {
+    slots: Vec<Option<DrainedQuery>>,
+    misses: Vec<(usize, Resolved)>,
+    owed: Vec<(Token, Reply)>,
+}
+
+/// Which slots one `query` (a single slot) or `batch` op's reply line
+/// is assembled from.
+struct Reply {
+    slots: Vec<usize>,
+    batch: bool,
+}
+
+impl Cycle {
+    /// Resolves a `query`/`batch` op's members into fresh slots.
+    /// Returns its reply line when every member was answered at resolve
+    /// time (the hit fast path); otherwise the line is owed to `token`.
+    fn admit(
+        &mut self,
+        resolver: &mut Resolver<'_>,
+        token: Token,
+        conn: ConnectionId,
+        at_micros: u64,
+        queries: Vec<Query>,
+        batch: bool,
+    ) -> Option<Value> {
+        let first = self.slots.len();
+        let slots = queries
+            .into_iter()
+            .map(|q| resolver.resolve(self, None, q, at_micros, Some(conn)))
+            .collect();
+        let reply = Reply { slots, batch };
+        if self.slots[first..].iter().all(Option::is_some) {
+            // Answered in full: its slots are spent, so drop them.
+            let line = self.render(&reply);
+            self.slots.truncate(first);
+            Some(line)
+        } else {
+            self.owed.push((token, reply));
+            None
+        }
+    }
+
+    /// Takes `reply`'s slots out and renders its wire line.
+    fn render(&mut self, reply: &Reply) -> Value {
+        let mut take = |slot: usize| match self.slots[slot].take().expect("slot answered").1 {
+            Ok(response) => protocol::response_value(&response),
+            Err(e) => protocol::error_value(&e),
+        };
+        if reply.batch {
+            let responses: Vec<Value> = reply.slots.iter().map(|&s| take(s)).collect();
+            Value::obj().field("ok", true).field("responses", responses)
+        } else {
+            take(reply.slots[0])
+        }
+    }
+
+    /// Delivers every owed reply (after the respond stage filled the
+    /// misses' slots).
+    fn settle(&mut self, router: &mut ResponseRouter, connections: &Connections) {
+        for (token, reply) in std::mem::take(&mut self.owed) {
+            let value = self.render(&reply);
+            router.fulfill(token, &value, connections);
+        }
+    }
 }
 
 /// Stage 2: bucket resolve-stage misses into engine groups by cache
@@ -881,149 +965,96 @@ impl Server {
     }
 }
 
-/// A response owed from an earlier cycle, carried into the next one by
-/// the pipelined drain loop. Its router token was assigned at arrival,
-/// so delivery order per connection is preserved no matter how many
-/// cycles it rides.
-enum Pending {
-    /// A submission that arrived during overlap but could not be
-    /// resolved early (control op, connection behind a control op, or
-    /// a cache key with an in-flight engine group): replayed through
-    /// the full dispatch next cycle.
-    Raw(Token, Submission),
-    /// A query resolved to a cache miss during overlap: goes straight
-    /// to the group stage next cycle. Boxed to keep the carried-raw
-    /// variant (the common case) small.
-    Miss(Token, Box<Resolved>),
-    /// A `batch` op resolved member-by-member during overlap with at
-    /// least one miss: hits keep their already-recorded responses
-    /// (re-resolving would double-count telemetry), misses go to the
-    /// group stage next cycle.
-    Batch(Token, Vec<BatchMember>),
+/// What a submission asks of the cycle, parsed once at arrival.
+enum Request {
+    /// A `query` (one member, `batch == false`) or `batch` op.
+    Queries { queries: Vec<Query>, batch: bool },
+    /// A control op (ingest, stats, …) or unknown op: run in place
+    /// against the whole service.
+    Control(Value),
+    /// A bad frame or malformed fields: answered in-band, touching no
+    /// service state.
+    Invalid(String),
 }
 
-/// One member of an overlap-resolved `batch` op.
-enum BatchMember {
-    /// Resolved at overlap time (hit or error), response in hand.
-    Done(DrainedQuery),
-    /// A cache miss: rides the next cycle's group stage.
-    Miss(Resolved),
-}
-
-/// A response the pipelined loop owes after the execute barrier (the
-/// fast path never creates one of these).
-enum Deferred {
-    /// One query miss: its response lives in the flat slot.
-    Single(Token, usize),
-    /// A `batch` op with at least one miss: one slot per member,
-    /// re-assembled into a single `{"responses": [...]}` line.
-    Batch(Token, Vec<usize>),
-}
-
-fn render_result(result: Result<QueryResponse, ServiceError>) -> Value {
-    match result {
-        Ok(response) => protocol::response_value(&response),
-        Err(e) => protocol::error_value(&e),
+impl Request {
+    fn classify(request: Result<Value, String>) -> Request {
+        let req = match request {
+            Ok(req) => req,
+            Err(message) => return Request::Invalid(message),
+        };
+        let parsed = match req.get("op").and_then(Value::as_str) {
+            Some("query") => protocol::parse_query(&req).map(|q| (vec![q], false)),
+            Some("batch") => protocol::parse_batch(&req).map(|qs| (qs, true)),
+            _ => return Request::Control(req),
+        };
+        match parsed {
+            Ok((queries, batch)) => Request::Queries { queries, batch },
+            Err(message) => Request::Invalid(message),
+        }
     }
 }
 
-fn take_slot(flat: &mut [Option<DrainedQuery>], slot: usize) -> Value {
-    render_result(flat[slot].take().expect("every cycle slot answered").1)
+/// One submission inside the drain loop: its router token (assigned in
+/// arrival order, so delivery order per connection holds however many
+/// cycles it rides) and its classified request.
+struct Arrival {
+    token: Token,
+    conn: ConnectionId,
+    at_micros: u64,
+    request: Request,
 }
 
-fn render_batch(slots: &[usize], flat: &mut [Option<DrainedQuery>]) -> Value {
-    Value::obj().field("ok", true).field(
-        "responses",
-        slots
-            .iter()
-            .map(|&s| take_slot(flat, s))
-            .collect::<Vec<Value>>(),
-    )
+impl Arrival {
+    fn new(sub: Submission, router: &mut ResponseRouter) -> Arrival {
+        Arrival {
+            token: router.admit(sub.conn),
+            conn: sub.conn,
+            at_micros: sub.at_micros,
+            request: Request::classify(sub.request),
+        }
+    }
 }
 
-/// Phase 1 of the pipelined cycle, for one submission: dispatch it
-/// exactly like [`process_cycle`] would, but fulfil everything that
-/// does not need the execute barrier — hits, control answers, errors —
-/// through the router *immediately* (the hit fast path).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_submission(
+/// Resolves one arrival into `cycle` with the whole service in hand:
+/// queries resolve (answered now when every member hits), control ops
+/// run in place and in arrival order, invalid requests answer in-band.
+fn dispatch(
     service: &mut Service,
+    cycle: &mut Cycle,
+    arrival: Arrival,
     router: &mut ResponseRouter,
     connections: &Connections,
-    token: Token,
-    sub: Submission,
-    flat: &mut Vec<Option<DrainedQuery>>,
-    misses: &mut Vec<(usize, Resolved)>,
-    deferred: &mut Vec<Deferred>,
 ) {
-    let (conn, at) = (sub.conn, sub.at_micros);
-    match sub.request {
-        Err(message) => router.fulfill(token, &protocol::error_value(&message), connections),
-        Ok(req) => match req.get("op").and_then(Value::as_str) {
-            Some("query") => match protocol::parse_query(&req) {
-                Ok(q) => {
-                    let id = service.next_query_id();
-                    match service.resolve_one(id, q, at, Some(conn), Route::Fast) {
-                        Resolution::Done(result) => {
-                            router.fulfill(token, &render_result(result), connections);
-                        }
-                        Resolution::Miss(resolved) => {
-                            let slot = flat.len();
-                            flat.push(None);
-                            misses.push((slot, resolved));
-                            deferred.push(Deferred::Single(token, slot));
-                        }
-                    }
-                }
-                Err(e) => router.fulfill(token, &protocol::error_value(&e), connections),
-            },
-            Some("batch") => match protocol::parse_batch(&req) {
-                Ok(queries) => {
-                    let mut slots = Vec::with_capacity(queries.len());
-                    let mut all_done = true;
-                    for q in queries {
-                        let id = service.next_query_id();
-                        let slot = flat.len();
-                        match service.resolve_one(id, q, at, Some(conn), Route::Fast) {
-                            Resolution::Done(result) => flat.push(Some((id, result))),
-                            Resolution::Miss(resolved) => {
-                                flat.push(None);
-                                misses.push((slot, resolved));
-                                all_done = false;
-                            }
-                        }
-                        slots.push(slot);
-                    }
-                    if all_done {
-                        router.fulfill(token, &render_batch(&slots, flat), connections);
-                    } else {
-                        deferred.push(Deferred::Batch(token, slots));
-                    }
-                }
-                Err(e) => router.fulfill(token, &protocol::error_value(&e), connections),
-            },
-            // Control ops (ingest/stats/families) and unknown ops:
-            // handled in place, in arrival order, answered immediately.
-            _ => router.fulfill(token, &protocol::handle_request(service, &req), connections),
-        },
+    let reply = match arrival.request {
+        Request::Queries { queries, batch } => cycle.admit(
+            &mut service.split(Route::Fast).0,
+            arrival.token,
+            arrival.conn,
+            arrival.at_micros,
+            queries,
+            batch,
+        ),
+        Request::Control(req) => Some(protocol::handle_request(service, &req)),
+        Request::Invalid(message) => Some(protocol::error_value(&message)),
+    };
+    if let Some(value) = reply {
+        router.fulfill(arrival.token, &value, connections);
     }
 }
 
 /// The background drain loop: pipelined cycles until shutdown, then a
 /// full flush of the per-connection outbound writer queues.
 ///
-/// Each iteration: resolve carried work plus (when nothing is carried)
-/// one `wait_cycle` batch, answering hits and control ops at resolve
-/// time; then, while the group-execution pool runs the cycle's engine
-/// passes, keep resolving newly-arrived submissions against the cache
-/// (`wait_overlap`). A control op defers itself *and everything behind
-/// it on its own connection* to the next cycle, so the per-connection
-/// semantics of the synchronous cycle (an `ingest` is visible to every
-/// query behind it on that connection) are preserved exactly; queries
-/// whose cache key has an in-flight engine group defer without
-/// blocking anyone. Deferred work is carried into the next iteration
-/// with its delivery order pinned by the router tokens assigned at
-/// arrival.
+/// Each iteration dispatches carried arrivals plus (when nothing is
+/// carried) one `wait_cycle` batch into the cycle, then, while the
+/// group-execution pool runs the cycle's engine passes, resolves newly
+/// arrived submissions into the next cycle (`wait_overlap`). A control
+/// op is carried *with everything behind it on its own connection*, so
+/// the per-connection semantics of the synchronous cycle (an `ingest`
+/// is visible to every query behind it on that connection) are
+/// preserved exactly; a query whose cache key has an in-flight engine
+/// group is carried without blocking anyone.
 fn drain_loop(
     mut service: Service,
     queue: &SubmissionQueue,
@@ -1031,16 +1062,19 @@ fn drain_loop(
     opts: ServeOptions,
 ) -> Service {
     let mut router = ResponseRouter::default();
-    let mut carry: Vec<Pending> = Vec::new();
+    // What the last overlap window left for this cycle: the queries it
+    // resolved, and the arrivals it could not resolve early.
+    let mut cycle = Cycle::default();
+    let mut carry: Vec<Arrival> = Vec::new();
     loop {
-        // Fresh submissions only when no carried work is waiting: a
-        // carried miss must reach the engine before anything newer on
-        // its connection is dispatched.
-        let fresh = if carry.is_empty() {
-            match queue.wait_cycle(opts.linger, opts.wake_depth) {
-                Some(cycle) => Some(cycle),
-                None => break,
-            }
+        // Fresh submissions only when nothing is carried: a carried miss
+        // must reach the engine before anything newer on its connection
+        // is dispatched.
+        let fresh = if cycle.owed.is_empty() && carry.is_empty() {
+            let Some(fresh) = queue.wait_cycle(opts.linger, opts.wake_depth) else {
+                break;
+            };
+            Some(fresh)
         } else {
             None
         };
@@ -1050,91 +1084,40 @@ fn drain_loop(
             connections.begin_shutdown_flush();
         }
 
-        // Phase 1: resolve in arrival order — carried items first
+        // Phase 1: resolve in arrival order — carried arrivals first
         // (their router tokens predate every fresh submission).
-        let mut flat: Vec<Option<DrainedQuery>> = Vec::new();
-        let mut misses: Vec<(usize, Resolved)> = Vec::new();
-        let mut deferred: Vec<Deferred> = Vec::new();
-        for pending in std::mem::take(&mut carry) {
-            match pending {
-                Pending::Raw(token, sub) => dispatch_submission(
-                    &mut service,
-                    &mut router,
-                    connections,
-                    token,
-                    sub,
-                    &mut flat,
-                    &mut misses,
-                    &mut deferred,
-                ),
-                Pending::Miss(token, resolved) => {
-                    let slot = flat.len();
-                    flat.push(None);
-                    misses.push((slot, *resolved));
-                    deferred.push(Deferred::Single(token, slot));
-                }
-                Pending::Batch(token, members) => {
-                    let mut slots = Vec::with_capacity(members.len());
-                    for member in members {
-                        let slot = flat.len();
-                        match member {
-                            BatchMember::Done(drained) => flat.push(Some(drained)),
-                            BatchMember::Miss(resolved) => {
-                                flat.push(None);
-                                misses.push((slot, resolved));
-                            }
-                        }
-                        slots.push(slot);
-                    }
-                    deferred.push(Deferred::Batch(token, slots));
-                }
-            }
+        for arrival in std::mem::take(&mut carry) {
+            dispatch(&mut service, &mut cycle, arrival, &mut router, connections);
         }
         let recorded = fresh.as_ref().map(|(subs, reason)| (*reason, subs.len()));
-        if let Some((submissions, _)) = fresh {
-            for sub in submissions {
-                let token = router.admit(sub.conn);
-                dispatch_submission(
-                    &mut service,
-                    &mut router,
-                    connections,
-                    token,
-                    sub,
-                    &mut flat,
-                    &mut misses,
-                    &mut deferred,
-                );
-            }
+        for sub in fresh.into_iter().flat_map(|(subs, _)| subs) {
+            let arrival = Arrival::new(sub, &mut router);
+            dispatch(&mut service, &mut cycle, arrival, &mut router, connections);
         }
 
         // Phase 2: group. (Overlap batches were already recorded as
         // `pipeline` wakes when they were collected.)
-        let groups = group_misses(misses);
+        let groups = group_misses(std::mem::take(&mut cycle.misses));
         if let Some((reason, width)) = recorded {
             service.telemetry.record_cycle(reason, width, groups.len());
         }
         if groups.is_empty() {
-            debug_assert!(deferred.is_empty(), "no groups, nothing can be deferred");
+            debug_assert!(cycle.owed.is_empty() && cycle.slots.is_empty());
             continue;
         }
 
-        // Phase 3: execute on a scoped thread while this thread keeps
-        // resolving next-cycle arrivals against the cache. The borrows
-        // split by field: the execute stage is pure over `registry` +
-        // `runner`, the overlap walk mutates `cache` / the id counters.
+        // Phase 3: execute on a scoped thread while this thread resolves
+        // new arrivals into the next cycle.
         let in_flight: HashSet<(u128, u128, Property)> = groups
             .iter()
             .map(|g| (g.key.graph.0, g.key.config.0, g.key.property))
             .collect();
         queue.pipeline_begin();
-        let registry = &service.registry;
-        let runner = &service.runner;
-        let telemetry = &service.telemetry;
-        let cache = &mut service.cache;
-        let queries_served = &mut service.queries_served;
-        let next_id = &mut service.next_id;
+        let mut next = Cycle::default();
+        let (mut resolver, runner) = service.split(Route::Fast);
+        let registry = resolver.registry;
         let passes = thread::scope(|scope| {
-            let clock = telemetry.clock();
+            let clock = resolver.telemetry.clock();
             let exec = scope.spawn({
                 let groups = &groups;
                 move || {
@@ -1143,35 +1126,13 @@ fn drain_loop(
                     passes
                 }
             });
-            // A deferral is a *per-connection* barrier: a control op
-            // (ingest, stats, …) defers itself and everything behind
-            // it on its own connection, so same-connection effects
-            // (ingest-then-query) replay in arrival order next cycle —
-            // while every other connection keeps flowing through the
-            // fast path. Cross-connection arrival order around a
-            // pending control op is not preserved; concurrent clients
-            // race those orderings anyway.
-            //
-            // What each overlap arrival may do, decided before any
-            // state moves:
-            enum EarlyAction {
-                /// Syntactic failure (bad frame, bad fields): the
-                /// answer depends on no service state — fulfil now.
-                Error(String),
-                /// A plain query with no in-flight engine group on its
-                /// key: resolve against the cache now.
-                Query(Box<Query>),
-                /// A batch whose members all avoid in-flight keys:
-                /// resolve member-by-member now.
-                Batch(Vec<Query>),
-                /// A query touching an in-flight key: the running pass
-                /// may be its answer, so it re-resolves next cycle
-                /// (no barrier — later queries depend on nothing it
-                /// does).
-                Defer,
-                /// A control op: defer it and barrier its connection.
-                Block,
-            }
+            // A carried control op is a *per-connection* barrier: it
+            // carries everything behind it on its own connection, so
+            // same-connection effects (ingest-then-query) replay in
+            // arrival order next cycle — while every other connection
+            // keeps flowing through the fast path. Cross-connection
+            // arrival order around a pending control op is not
+            // preserved; concurrent clients race those orderings anyway.
             let key_in_flight = |q: &Query| {
                 registry.resolve(&q.graph).is_ok_and(|entry| {
                     in_flight.contains(&(entry.fingerprint.0, q.cfg.fingerprint().0, q.property))
@@ -1179,93 +1140,40 @@ fn drain_loop(
             };
             let mut blocked: HashSet<ConnectionId> = HashSet::new();
             while let Some(batch) = queue.wait_overlap() {
-                telemetry.record_cycle(WakeReason::Pipeline, batch.len(), 0);
+                resolver
+                    .telemetry
+                    .record_cycle(WakeReason::Pipeline, batch.len(), 0);
                 for sub in batch {
-                    let (conn, at_micros) = (sub.conn, sub.at_micros);
-                    let token = router.admit(conn);
-                    let action = if blocked.contains(&conn) {
-                        EarlyAction::Defer
-                    } else {
-                        match &sub.request {
-                            Err(message) => EarlyAction::Error(message.clone()),
-                            Ok(req) => match req.get("op").and_then(Value::as_str) {
-                                Some("query") => match protocol::parse_query(req) {
-                                    Ok(q) if key_in_flight(&q) => EarlyAction::Defer,
-                                    Ok(q) => EarlyAction::Query(Box::new(q)),
-                                    Err(e) => EarlyAction::Error(e),
-                                },
-                                Some("batch") => match protocol::parse_batch(req) {
-                                    Ok(qs) if qs.iter().any(&key_in_flight) => EarlyAction::Defer,
-                                    Ok(qs) => EarlyAction::Batch(qs),
-                                    Err(e) => EarlyAction::Error(e),
-                                },
-                                _ => EarlyAction::Block,
-                            },
+                    let arrival = Arrival::new(sub, &mut router);
+                    match arrival.request {
+                        _ if blocked.contains(&arrival.conn) => carry.push(arrival),
+                        Request::Control(_) => {
+                            blocked.insert(arrival.conn);
+                            carry.push(arrival);
                         }
-                    };
-                    let mut resolve_early = |q: Query| {
-                        let id = *next_id;
-                        *next_id += 1;
-                        let resolution = resolve_query(
-                            registry,
-                            cache,
-                            telemetry,
-                            queries_served,
-                            id,
-                            q,
-                            at_micros,
-                            Some(conn),
-                            Route::Fast,
-                        );
-                        (id, resolution)
-                    };
-                    match action {
-                        EarlyAction::Error(message) => {
-                            router.fulfill(token, &protocol::error_value(&message), connections);
+                        // The running pass may be its answer: resolve it
+                        // next cycle (later queries depend on nothing it
+                        // does, so no barrier).
+                        Request::Queries { ref queries, .. }
+                            if queries.iter().any(key_in_flight) =>
+                        {
+                            carry.push(arrival);
                         }
-                        EarlyAction::Query(q) => match resolve_early(*q) {
-                            (_, Resolution::Done(result)) => {
-                                router.fulfill(token, &render_result(result), connections);
-                            }
-                            (_, Resolution::Miss(resolved)) => {
-                                carry.push(Pending::Miss(token, Box::new(resolved)));
-                            }
-                        },
-                        EarlyAction::Batch(qs) => {
-                            let mut members = Vec::with_capacity(qs.len());
-                            let mut any_miss = false;
-                            for q in qs {
-                                members.push(match resolve_early(q) {
-                                    (id, Resolution::Done(result)) => {
-                                        BatchMember::Done((id, result))
-                                    }
-                                    (_, Resolution::Miss(resolved)) => {
-                                        any_miss = true;
-                                        BatchMember::Miss(resolved)
-                                    }
-                                });
-                            }
-                            if any_miss {
-                                carry.push(Pending::Batch(token, members));
-                            } else {
-                                let responses: Vec<Value> = members
-                                    .into_iter()
-                                    .map(|m| match m {
-                                        BatchMember::Done((_, result)) => render_result(result),
-                                        BatchMember::Miss(_) => unreachable!("no member missed"),
-                                    })
-                                    .collect();
-                                router.fulfill(
-                                    token,
-                                    &Value::obj().field("ok", true).field("responses", responses),
-                                    connections,
-                                );
+                        Request::Queries { queries, batch } => {
+                            let (token, conn, at) =
+                                (arrival.token, arrival.conn, arrival.at_micros);
+                            if let Some(value) =
+                                next.admit(&mut resolver, token, conn, at, queries, batch)
+                            {
+                                router.fulfill(token, &value, connections);
                             }
                         }
-                        EarlyAction::Defer => carry.push(Pending::Raw(token, sub)),
-                        EarlyAction::Block => {
-                            blocked.insert(conn);
-                            carry.push(Pending::Raw(token, sub));
+                        Request::Invalid(message) => {
+                            router.fulfill(
+                                arrival.token,
+                                &protocol::error_value(&message),
+                                connections,
+                            );
                         }
                     }
                 }
@@ -1273,24 +1181,14 @@ fn drain_loop(
             exec.join().expect("group execution thread panicked")
         });
 
-        // Phase 4: respond — apply passes in group order, then fulfil
-        // the deferred responses (the router restores per-connection
+        // Phase 4: respond — apply passes in group order, then deliver
+        // the owed replies (the router restores per-connection
         // submission order around anything answered early).
         for (group, pass) in groups.into_iter().zip(passes) {
-            service.apply_group(group, pass, &mut flat);
+            service.apply_group(group, pass, &mut cycle.slots);
         }
-        for d in deferred {
-            match d {
-                Deferred::Single(token, slot) => {
-                    let value = take_slot(&mut flat, slot);
-                    router.fulfill(token, &value, connections);
-                }
-                Deferred::Batch(token, slots) => {
-                    let value = render_batch(&slots, &mut flat);
-                    router.fulfill(token, &value, connections);
-                }
-            }
-        }
+        cycle.settle(&mut router, connections);
+        cycle = next;
     }
     // Graceful shutdown: every computed response is already enqueued;
     // wait for the writers to put them on the wire (stuck connections
@@ -1299,126 +1197,13 @@ fn drain_loop(
     service
 }
 
-/// What one submission is waiting on after the resolve walk (the
-/// synchronous [`process_cycle`] reference path).
-#[cfg_attr(not(test), allow(dead_code))]
-enum Plan {
-    /// Fully answered during the walk (control op, parse error, …).
-    Ready(Value),
-    /// One query: its response lives in the flat slot.
-    Single(usize),
-    /// A `batch` op: one slot per member, responses re-assembled into
-    /// a single `{"responses": [...]}` line.
-    Batch(Vec<usize>),
-}
-
-/// Runs one scheduler cycle over connection-tagged submissions:
-/// resolve (walking in arrival order, so an `ingest` is visible to
-/// every query behind it — including queries from other connections in
-/// the same cycle), group, execute, respond. Returns one response per
-/// submission, in arrival order, ready for per-connection routing.
-/// `reason` is why this cycle fired; it lands in the wake-reason
-/// counters along with the cycle's width and group fan-out.
-///
-/// This is the *synchronous reference* for the pipelined
-/// [`drain_loop`]: the pipelined form must be per-connection
-/// bit-for-bit equivalent to routing these responses in order (the
-/// drain-equivalence proptests hold both to it).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn process_cycle(
-    service: &mut Service,
-    submissions: Vec<Submission>,
-    reason: WakeReason,
-) -> Vec<(ConnectionId, Value)> {
-    let width = submissions.len();
-    let mut plans: Vec<(ConnectionId, Plan)> = Vec::with_capacity(submissions.len());
-    let mut flat: Vec<Option<DrainedQuery>> = Vec::new();
-    let mut misses: Vec<(usize, Resolved)> = Vec::new();
-
-    fn add_query(
-        service: &mut Service,
-        query: Query,
-        at_micros: u64,
-        conn: ConnectionId,
-        flat: &mut Vec<Option<DrainedQuery>>,
-        misses: &mut Vec<(usize, Resolved)>,
-    ) -> usize {
-        let id = service.next_query_id();
-        let slot = flat.len();
-        match service.resolve_one(id, query, at_micros, Some(conn), Route::Cycle) {
-            Resolution::Done(result) => flat.push(Some((id, result))),
-            Resolution::Miss(resolved) => {
-                flat.push(None);
-                misses.push((slot, resolved));
-            }
-        }
-        slot
-    }
-
-    for sub in submissions {
-        let (conn, at) = (sub.conn, sub.at_micros);
-        let plan = match sub.request {
-            Err(message) => Plan::Ready(protocol::error_value(&message)),
-            Ok(req) => match req.get("op").and_then(Value::as_str) {
-                Some("query") => match protocol::parse_query(&req) {
-                    Ok(q) => Plan::Single(add_query(service, q, at, conn, &mut flat, &mut misses)),
-                    Err(e) => Plan::Ready(protocol::error_value(&e)),
-                },
-                Some("batch") => match protocol::parse_batch(&req) {
-                    Ok(queries) => Plan::Batch(
-                        queries
-                            .into_iter()
-                            .map(|q| add_query(service, q, at, conn, &mut flat, &mut misses))
-                            .collect(),
-                    ),
-                    Err(e) => Plan::Ready(protocol::error_value(&e)),
-                },
-                // Control ops (ingest/stats/families) and unknown ops:
-                // handled in place, in arrival order.
-                _ => Plan::Ready(protocol::handle_request(service, &req)),
-            },
-        };
-        plans.push((conn, plan));
-    }
-
-    let groups = group_misses(misses);
-    service.telemetry.record_cycle(reason, width, groups.len());
-    let clock = service.telemetry.clock();
-    let passes = execute_groups(&service.registry, &groups, &service.runner, &clock);
-    for (group, pass) in groups.into_iter().zip(passes) {
-        service.apply_group(group, pass, &mut flat);
-    }
-
-    let render = |slot: &mut Option<DrainedQuery>| -> Value {
-        match slot.take().expect("every cycle slot answered").1 {
-            Ok(response) => protocol::response_value(&response),
-            Err(e) => protocol::error_value(&e),
-        }
-    };
-    plans
-        .into_iter()
-        .map(|(conn, plan)| {
-            let value = match plan {
-                Plan::Ready(v) => v,
-                Plan::Single(slot) => render(&mut flat[slot]),
-                Plan::Batch(slots) => Value::obj().field("ok", true).field(
-                    "responses",
-                    slots
-                        .into_iter()
-                        .map(|s| render(&mut flat[s]))
-                        .collect::<Vec<Value>>(),
-                ),
-            };
-            (conn, value)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::GraphRef;
     use planartest_core::{PlanarityTester, TesterConfig};
+    use std::io::Write;
+    use std::sync::Mutex;
 
     fn cfg(eps: f64) -> TesterConfig {
         TesterConfig::new(eps).with_phases(5)
@@ -1722,118 +1507,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn cycle_routes_responses_per_connection_in_submission_order() {
-        use crate::transport::Submission;
-        let mut s = service_with("p", "tri_grid(4,4)");
-        let req = |seed: u64| {
-            Ok(Value::obj()
-                .field("op", "query")
-                .field("graph", "p")
-                .field("epsilon", 0.2)
-                .field("phases", 5u64)
-                .field("seed", seed))
-        };
-        // Two connections interleaved, plus a control op and a garbage
-        // frame mid-cycle.
-        let subs = vec![
-            Submission::new(1, req(1)),
-            Submission::new(2, req(2)),
-            Submission::new(1, Err("frame exceeds the 16-byte limit".into())),
-            Submission::new(2, Ok(Value::obj().field("op", "stats"))),
-            Submission::new(1, req(3)),
-        ];
-        let responses = process_cycle(&mut s, subs, WakeReason::Control);
-        assert_eq!(responses.len(), 5);
-        let conns: Vec<ConnectionId> = responses.iter().map(|(c, _)| *c).collect();
-        assert_eq!(conns, vec![1, 2, 1, 2, 1], "arrival order preserved");
-        // The three same-key queries coalesced into one pass...
-        assert_eq!(s.engine_passes(), 1);
-        for i in [0usize, 1, 4] {
-            let v = &responses[i].1;
-            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-            assert_eq!(v.get("coalesced").unwrap().as_u64(), Some(3));
+    /// An in-process transport endpoint: a shared byte sink the server's
+    /// writer thread for this connection flushes response lines into.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
         }
-        // ...the garbage frame answered in-band on its connection...
-        assert_eq!(responses[2].1.get("ok").unwrap().as_bool(), Some(false));
-        // ...and the control op answered in place.
-        assert_eq!(responses[3].1.get("ok").unwrap().as_bool(), Some(true));
-        assert!(responses[3].1.get("graphs").is_some());
-    }
-
-    #[test]
-    fn cycle_ingest_is_visible_to_later_queries_in_the_same_cycle() {
-        use crate::transport::Submission;
-        let mut s = Service::new();
-        let subs = vec![
-            Submission::new(
-                7,
-                Ok(Value::obj()
-                    .field("op", "ingest")
-                    .field("name", "g")
-                    .field("spec", "tri_grid(4,4)")),
-            ),
-            Submission::new(
-                8,
-                Ok(Value::obj()
-                    .field("op", "query")
-                    .field("graph", "g")
-                    .field("epsilon", 0.2)
-                    .field("phases", 5u64)),
-            ),
-        ];
-        let responses = process_cycle(&mut s, subs, WakeReason::Control);
-        assert_eq!(responses[0].1.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(
-            responses[1].1.get("verdict").unwrap().as_str(),
-            Some("accept"),
-            "query resolved against the ingest earlier in the cycle"
-        );
-    }
-
-    #[test]
-    fn cycle_batch_op_reassembles_and_coalesces_across_connections() {
-        use crate::transport::Submission;
-        let mut s = service_with("p", "tri_grid(4,4)");
-        let member = |seed: u64| {
-            Value::obj()
-                .field("graph", "p")
-                .field("epsilon", 0.2)
-                .field("phases", 5u64)
-                .field("seed", seed)
-        };
-        let subs = vec![
-            Submission::new(
-                1,
-                Ok(Value::obj()
-                    .field("op", "batch")
-                    .field("queries", vec![member(1), member(2)])),
-            ),
-            Submission::new(
-                2,
-                Ok(Value::obj()
-                    .field("op", "query")
-                    .field("graph", "p")
-                    .field("epsilon", 0.2)
-                    .field("phases", 5u64)
-                    .field("seed", 3u64)),
-            ),
-        ];
-        let responses = process_cycle(&mut s, subs, WakeReason::Depth);
-        // One pass serves the batch *and* the other connection's query.
-        assert_eq!(s.engine_passes(), 1);
-        let batch = responses[0].1.get("responses").unwrap().as_arr().unwrap();
-        assert_eq!(batch.len(), 2);
-        for member in batch {
-            assert_eq!(member.get("coalesced").unwrap().as_u64(), Some(3));
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
-        assert_eq!(responses[1].1.get("coalesced").unwrap().as_u64(), Some(3));
     }
 
-    #[test]
-    fn server_drains_in_process_submissions_and_flushes_on_shutdown() {
-        let mut service = service_with("p", "tri_grid(4,4)");
-        service.set_group_threads(2);
+    impl Sink {
+        fn responses(&self) -> Vec<Value> {
+            let bytes = self.0.lock().unwrap().clone();
+            String::from_utf8(bytes)
+                .unwrap()
+                .lines()
+                .map(|l| Value::parse(l).unwrap())
+                .collect()
+        }
+    }
+
+    /// Runs `service` as a server whose cycles fire only on a control
+    /// op, a bad frame or shutdown (1 h linger, no depth wake): pushes
+    /// `(connection index, request)` submissions over `conns` in-process
+    /// connections, then shuts down. Returns the service and each
+    /// connection's responses.
+    fn serve_controlled(
+        service: Service,
+        conns: usize,
+        submissions: Vec<(usize, Result<Value, String>)>,
+    ) -> (Service, Vec<Vec<Value>>) {
         let server = Server::start(
             service,
             ServeOptions {
@@ -1842,41 +1551,187 @@ mod tests {
                 ..ServeOptions::default()
             },
         );
-        // An in-process transport: a shared Vec sink captures the
-        // routed response bytes.
-        use std::io::Write;
-        use std::sync::Mutex;
-        #[derive(Clone, Default)]
-        struct Sink(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = Sink::default();
-        let conn = server.connections().register(Box::new(sink.clone()));
+        let sinks: Vec<Sink> = (0..conns).map(|_| Sink::default()).collect();
+        let ids: Vec<ConnectionId> = sinks
+            .iter()
+            .map(|s| server.connections().register(Box::new(s.clone())))
+            .collect();
         let queue = server.submission_queue();
-        queue.push(crate::transport::Submission::new(
-            conn,
-            Ok(Value::obj()
-                .field("op", "query")
-                .field("graph", "p")
-                .field("epsilon", 0.2)
-                .field("phases", 5u64)
-                .field("seed", 1u64)),
-        ));
-        // The cycle is lingering (1h); shutdown must flush it.
+        for (conn, request) in submissions {
+            queue.push(Submission::new(ids[conn], request));
+        }
         server.request_shutdown();
         let service = server.join();
+        (service, sinks.iter().map(Sink::responses).collect())
+    }
+
+    fn query_req(graph: &str, seed: u64) -> Value {
+        Value::obj()
+            .field("graph", graph)
+            .field("epsilon", 0.2)
+            .field("phases", 5u64)
+            .field("seed", seed)
+    }
+
+    fn query_op(graph: &str, seed: u64) -> Result<Value, String> {
+        Ok(query_req(graph, seed).field("op", "query"))
+    }
+
+    fn stats_op() -> Result<Value, String> {
+        Ok(Value::obj().field("op", "stats"))
+    }
+
+    #[test]
+    fn cycle_routes_responses_per_connection_in_submission_order() {
+        // Two connections interleaved. The three queries linger; the
+        // garbage frame behind them on connection 0 fires the cycle, and
+        // the trailing `stats` on connection 1 joins it or runs right
+        // after — either way all three queries share one cycle.
+        let (s, responses) = serve_controlled(
+            service_with("p", "tri_grid(4,4)"),
+            2,
+            vec![
+                (0, query_op("p", 1)),
+                (1, query_op("p", 2)),
+                (0, query_op("p", 3)),
+                (0, Err("frame exceeds the 16-byte limit".into())),
+                (1, stats_op()),
+            ],
+        );
+        // Arrival order per connection: the garbage frame is answered
+        // at dispatch, yet waits behind the two engine misses ahead of
+        // it on its connection.
+        let seed = |v: &Value| v.get("seed").and_then(Value::as_u64);
+        assert_eq!(responses[0].len(), 3);
+        assert_eq!(responses[1].len(), 2);
+        assert_eq!(seed(&responses[0][0]), Some(1));
+        assert_eq!(seed(&responses[0][1]), Some(3));
+        assert_eq!(seed(&responses[1][0]), Some(2));
+        // The three same-key queries coalesced into one pass...
+        assert_eq!(s.engine_passes(), 1);
+        for v in [&responses[0][0], &responses[0][1], &responses[1][0]] {
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+            assert_eq!(v.get("coalesced").unwrap().as_u64(), Some(3));
+        }
+        // ...the garbage frame answered in-band on its connection...
+        assert_eq!(responses[0][2].get("ok").unwrap().as_bool(), Some(false));
+        // ...and the control op answered in place.
+        assert_eq!(responses[1][1].get("ok").unwrap().as_bool(), Some(true));
+        assert!(responses[1][1].get("graphs").is_some());
+    }
+
+    #[test]
+    fn cycle_ingest_is_visible_to_later_queries_in_the_same_cycle() {
+        // The ingest fires a cycle on arrival; the other connection's
+        // query resolves in that cycle or, lingering, in the one the
+        // trailing `stats` fires — after the ingest either way.
+        let (_, responses) = serve_controlled(
+            Service::new(),
+            3,
+            vec![
+                (
+                    0,
+                    Ok(Value::obj()
+                        .field("op", "ingest")
+                        .field("name", "g")
+                        .field("spec", "tri_grid(4,4)")),
+                ),
+                (1, query_op("g", 0)),
+                (2, stats_op()),
+            ],
+        );
+        assert_eq!(responses[0][0].get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            responses[1][0].get("verdict").unwrap().as_str(),
+            Some("accept"),
+            "query resolved against the ingest ahead of it"
+        );
+    }
+
+    #[test]
+    fn cycle_batch_op_reassembles_and_coalesces_across_connections() {
+        // Both ops linger until the trailing `stats` fires one cycle.
+        let (s, responses) = serve_controlled(
+            service_with("p", "tri_grid(4,4)"),
+            3,
+            vec![
+                (
+                    0,
+                    Ok(Value::obj()
+                        .field("op", "batch")
+                        .field("queries", vec![query_req("p", 1), query_req("p", 2)])),
+                ),
+                (1, query_op("p", 3)),
+                (2, stats_op()),
+            ],
+        );
+        // One pass serves the batch *and* the other connection's query.
+        assert_eq!(s.engine_passes(), 1);
+        let batch = responses[0][0].get("responses").unwrap().as_arr().unwrap();
+        assert_eq!(batch.len(), 2);
+        for (member, seed) in batch.iter().zip([1u64, 2]) {
+            assert_eq!(member.get("seed").unwrap().as_u64(), Some(seed));
+            assert_eq!(member.get("coalesced").unwrap().as_u64(), Some(3));
+        }
+        assert_eq!(responses[1][0].get("coalesced").unwrap().as_u64(), Some(3));
+    }
+
+    #[test]
+    fn overlap_carries_a_control_op_with_its_connection() {
+        // Connection 0's cold pass holds the execute stage; connection 1
+        // ingests a fresh name and queries it while the pass runs. The
+        // ingest must be carried to the next cycle *with* the query
+        // behind it, never the query resolved early against a registry
+        // that lacks the name.
+        let server = Server::start(
+            service_with("big", "tri_grid(14,14)"),
+            ServeOptions::default(),
+        );
+        let sinks = [Sink::default(), Sink::default()];
+        let ids = sinks
+            .clone()
+            .map(|s| server.connections().register(Box::new(s)));
+        let queue = server.submission_queue();
+        queue.push(Submission::new(ids[0], query_op("big", 1)));
+        while queue.depth() > 0 {
+            thread::yield_now();
+        }
+        queue.push(Submission::new(
+            ids[1],
+            Ok(Value::obj()
+                .field("op", "ingest")
+                .field("name", "fresh")
+                .field("spec", "grid(3,3)")),
+        ));
+        queue.push(Submission::new(ids[1], query_op("fresh", 2)));
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while sinks[1].responses().len() < 2 && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        server.request_shutdown();
+        let _ = server.join();
+        let (big, fresh) = (sinks[0].responses(), sinks[1].responses());
+        assert_eq!(big[0].get("verdict").unwrap().as_str(), Some("accept"));
+        assert_eq!(fresh.len(), 2);
+        assert_eq!(fresh[0].get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            fresh[1].get("verdict").and_then(Value::as_str),
+            Some("accept"),
+            "query resolved after its connection's ingest (got {})",
+            fresh[1]
+        );
+    }
+
+    #[test]
+    fn server_drains_in_process_submissions_and_flushes_on_shutdown() {
+        let mut service = service_with("p", "tri_grid(4,4)");
+        service.set_group_threads(2);
+        // The query lingers (1 h); shutdown must flush it.
+        let (service, responses) = serve_controlled(service, 1, vec![(0, query_op("p", 1))]);
         assert_eq!(service.engine_passes(), 1, "pending query was flushed");
         assert_eq!(service.stats().queries_served, 1);
-        let bytes = sink.0.lock().unwrap().clone();
-        let line = String::from_utf8(bytes).unwrap();
-        let response = Value::parse(line.trim()).unwrap();
+        assert_eq!(responses[0].len(), 1);
+        let response = &responses[0][0];
         assert_eq!(response.get("verdict").unwrap().as_str(), Some("accept"));
         assert_eq!(response.get("cache").unwrap().as_str(), Some("cold"));
     }

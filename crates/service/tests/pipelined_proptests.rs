@@ -366,21 +366,26 @@ proptest! {
 }
 
 /// A stress op: accepting-planarity queries (verdict known a priori)
-/// with per-submission unique seeds, plus missing-graph errors and
-/// small batches.
+/// with per-submission unique seeds, plus missing-graph errors, small
+/// batches, and an ingest of a fresh name followed by a query of it on
+/// the same connection (the control-op barrier).
 #[derive(Debug, Clone)]
 enum StressOp {
     Accept { graph: usize },
     MissingGraph,
     Batch { graph: usize, members: usize },
+    IngestThenQuery { graph: usize },
 }
 
 fn stress_strategy() -> impl Strategy<Value = StressOp> {
-    (0..8usize, 0..ACCEPTING.len(), 1..4usize).prop_map(|(kind, g, members)| match kind {
+    (0..9usize, 0..ACCEPTING.len(), 1..4usize).prop_map(|(kind, g, members)| match kind {
         0..=4 => StressOp::Accept {
             graph: ACCEPTING[g],
         },
         5 => StressOp::MissingGraph,
+        8 => StressOp::IngestThenQuery {
+            graph: ACCEPTING[g],
+        },
         _ => StressOp::Batch {
             graph: ACCEPTING[g],
             members,
@@ -446,6 +451,21 @@ proptest! {
                     expected[*conn].push(StressExpect::Batch(seeds));
                     Value::obj().field("op", "batch").field("queries", queries)
                 }
+                StressOp::IngestThenQuery { graph } => {
+                    seed += 1;
+                    let name = format!("fresh{seed}");
+                    queue.push(Submission::new(
+                        ids[*conn],
+                        Ok(Value::obj()
+                            .field("op", "ingest")
+                            .field("name", name.as_str())
+                            .field("spec", SPECS[*graph])),
+                    ));
+                    expected[*conn].push(StressExpect::Ingested);
+                    expected[*conn].push(StressExpect::Plain(seed));
+                    query_fields(Value::obj().field("op", "query"), *graph, 1, seed)
+                        .field("graph", name)
+                }
             };
             queue.push(Submission::new(ids[*conn], Ok(request)));
         }
@@ -458,6 +478,14 @@ proptest! {
             for (i, (response, want)) in got.iter().zip(&expected[c]).enumerate() {
                 let context = format!("conn {c} response {i}");
                 match want {
+                    StressExpect::Ingested => {
+                        assert_eq!(
+                            response.get("ok").and_then(Value::as_bool),
+                            Some(true),
+                            "{context}: ingest (got {response})"
+                        );
+                        assert!(response.get("fingerprint").is_some(), "{context}: ingest reply");
+                    }
                     StressExpect::Error => {
                         assert_eq!(
                             response.get("ok").and_then(Value::as_bool),
@@ -512,4 +540,6 @@ enum StressExpect {
     Batch(Vec<u64>),
     /// A missing-graph error.
     Error,
+    /// A successful `ingest`.
+    Ingested,
 }
