@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use planartest_core::oracle;
 use planartest_core::{PlanarityTester, TesterConfig};
-use planartest_embed::demoucron::check_planarity;
+use planartest_embed::check_planarity;
 use planartest_embed::RotationSystem;
 use planartest_graph::generators::{nonplanar, planar};
 use planartest_graph::NodeId;
@@ -28,11 +28,11 @@ fn bench_embedding(c: &mut Criterion) {
     let mut g = c.benchmark_group("embedding");
     let mut rng = StdRng::seed_from_u64(3);
     let planar_graph = planar::apollonian(300, &mut rng).graph;
-    g.bench_function("demoucron_apollonian_300", |b| {
+    g.bench_function("embed_apollonian_300", |b| {
         b.iter(|| check_planarity(&planar_graph))
     });
     let k33 = nonplanar::complete_bipartite(3, 3).graph;
-    g.bench_function("demoucron_reject_k33", |b| b.iter(|| check_planarity(&k33)));
+    g.bench_function("embed_reject_k33", |b| b.iter(|| check_planarity(&k33)));
     let grid = planar::triangulated_grid(20, 20).graph;
     let rot = check_planarity(&grid).into_rotation().expect("planar");
     g.bench_function("face_trace_trigrid_400", |b| {

@@ -74,9 +74,10 @@ fn engine_neighbors(out: &Outbox<'_>, node: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
-/// One instance's result in a [`stream_broadcast_batch`]: the messages
-/// received per node, plus the instance's own [`RunReport`].
-pub type BroadcastLane = (Vec<Vec<Msg>>, RunReport);
+/// One instance's result in a [`stream_broadcast_batch`]: the number of
+/// messages delivered to each node, plus the instance's own
+/// [`RunReport`].
+pub type BroadcastLane = (Vec<usize>, RunReport);
 
 /// One instance's result in an [`up_stream_batch`]: the
 /// `(relay, message)` lists collected per node, plus the instance's own
@@ -240,20 +241,32 @@ pub fn census(
     Ok(logic.result)
 }
 
+/// The pipelined broadcast keeps no message copies: every node's stream
+/// is its root's payload, so a node only counts what it has received and
+/// forwarded, and forwards `payload[root][sent]` while `sent < received`.
 struct StreamBroadcastLogic<'t> {
     tree: &'t TreeTopology,
-    queue: Vec<VecDeque<Msg>>,
-    received: Vec<Vec<Msg>>,
+    /// Root of each node's tree.
+    root_of: &'t [u32],
+    /// Each root's message list, indexed by node (empty at non-roots).
+    payload: Vec<Vec<Msg>>,
+    /// Messages each node holds: received from its parent, or its own
+    /// payload at a root.
+    received: Vec<u32>,
+    /// Messages each node has forwarded to its children.
+    sent: Vec<u32>,
 }
 
 impl StreamBroadcastLogic<'_> {
     fn pump(&mut self, node: NodeId, out: &mut Outbox<'_>) {
         let v = node.index();
-        if let Some(m) = self.queue[v].pop_front() {
+        if self.sent[v] < self.received[v] {
+            let m = &self.payload[self.root_of[v] as usize][self.sent[v] as usize];
             for &c in self.tree.children(node) {
                 out.send(c, m.clone());
             }
-            if !self.queue[v].is_empty() {
+            self.sent[v] += 1;
+            if self.sent[v] < self.received[v] {
                 out.wake();
             }
         }
@@ -262,29 +275,50 @@ impl StreamBroadcastLogic<'_> {
 
 impl NodeLogic for StreamBroadcastLogic<'_> {
     fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
-        if !self.queue[node.index()].is_empty() {
-            // Roots seeded with payload; non-root seeds are a caller bug
-            // guarded by the public wrapper.
-            self.pump(node, out);
-        }
+        // Roots seeded with payload start streaming; non-root seeds are a
+        // caller bug guarded by the public wrapper.
+        self.pump(node, out);
     }
 
     fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
         let v = node.index();
+        let payload = &self.payload[self.root_of[v] as usize];
         for (_, msg) in inbox {
-            self.received[v].push(msg.clone());
-            self.queue[v].push_back(msg.clone());
+            let k = self.received[v] as usize;
+            assert!(
+                payload.get(k) == Some(msg),
+                "protocol bug: broadcast delivered {msg:?} as message {k} of its root's {} at {node:?}",
+                payload.len()
+            );
+            self.received[v] += 1;
         }
         self.pump(node, out);
     }
 }
 
+/// The root of every node's tree, in one top-down pass.
+fn roots_of(tree: &TreeTopology, n: usize) -> Vec<u32> {
+    let mut root_of = vec![0u32; n];
+    let mut stack: Vec<NodeId> = Vec::new();
+    for r in (0..n).map(NodeId::new).filter(|&v| tree.is_root(v)) {
+        stack.push(r);
+        while let Some(v) = stack.pop() {
+            root_of[v.index()] = r.raw();
+            stack.extend_from_slice(tree.children(v));
+        }
+    }
+    root_of
+}
+
 /// Batched pipelined multi-message broadcast: per instance, each root's
 /// message list flows down its tree in FIFO order, one message per edge
 /// per round; every node receives its root's list (roots' own payloads
-/// are *not* echoed back to themselves). The instances execute through
-/// [`Engine::run_batch`]; each returned [`RunReport`] is
-/// bit-for-bit what that instance's sequential run would report.
+/// are *not* echoed back to themselves). Every arrival is checked against
+/// the root's list, in all builds, so the count a node reports is a count
+/// of that list's leading messages, delivered verbatim and in order. The
+/// instances execute through [`Engine::run_batch`]; each returned
+/// [`RunReport`] is bit-for-bit what that instance's sequential run would
+/// report.
 ///
 /// Cost per instance: `height + k` rounds for `k` messages.
 ///
@@ -292,6 +326,11 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
 ///
 /// Propagates the first instance's engine [`SimError`] (instances are
 /// independent; an error is a protocol/infrastructure bug, not data).
+///
+/// # Panics
+///
+/// Panics if a node receives a message other than the next one of its
+/// root's list (a protocol bug).
 pub fn stream_broadcast_batch(
     engine: &mut Engine<'_>,
     tree: &TreeTopology,
@@ -299,6 +338,7 @@ pub fn stream_broadcast_batch(
     max_rounds: u64,
 ) -> Result<Vec<BroadcastLane>, SimError> {
     let n = engine.graph().n();
+    let root_of = roots_of(tree, n);
     let mut logics: Vec<StreamBroadcastLogic<'_>> = payloads
         .into_iter()
         .map(|payload| {
@@ -308,8 +348,10 @@ pub fn stream_broadcast_batch(
                 .all(|(v, p)| p.is_empty() || tree.is_root(NodeId::new(v))));
             StreamBroadcastLogic {
                 tree,
-                queue: payload.into_iter().map(VecDeque::from).collect(),
-                received: vec![Vec::new(); n],
+                root_of: &root_of,
+                received: payload.iter().map(|p| p.len() as u32).collect(),
+                sent: vec![0; n],
+                payload,
             }
         })
         .collect();
@@ -317,7 +359,20 @@ pub fn stream_broadcast_batch(
     results
         .into_iter()
         .zip(logics)
-        .map(|(result, logic)| result.map(|report| (logic.received, report)))
+        .map(|(result, logic)| {
+            result.map(|report| {
+                let delivered = (0..n)
+                    .map(|v| {
+                        if tree.is_root(NodeId::new(v)) {
+                            0
+                        } else {
+                            logic.received[v] as usize
+                        }
+                    })
+                    .collect();
+                (delivered, report)
+            })
+        })
         .collect()
 }
 
@@ -527,12 +582,10 @@ mod tests {
         let mut payload = vec![Vec::new(); 6];
         payload[0] = vec![Msg::words(&[1]), Msg::words(&[2]), Msg::words(&[3])];
         let lanes = stream_broadcast_batch(&mut engine, &tree, vec![payload], 1000).unwrap();
-        let (got, report) = &lanes[0];
-        for (v, msgs) in got.iter().enumerate().take(5).skip(1) {
-            let words: Vec<u64> = msgs.iter().map(|m| m.word(0)).collect();
-            assert_eq!(words, vec![1, 2, 3], "node {v}");
-        }
-        assert!(got[5].is_empty());
+        let (delivered, report) = &lanes[0];
+        // Every arrival was checked against the root's list in order, so
+        // a full count means the list arrived verbatim.
+        assert_eq!(delivered, &vec![0, 3, 3, 3, 3, 0]);
         // Pipelined: depth 4 + 3 messages - 1 = 6-ish rounds, not 12.
         assert!(report.rounds <= 8, "rounds {}", report.rounds);
         assert_eq!(engine.stats().rounds, report.rounds);

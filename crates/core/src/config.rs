@@ -1,20 +1,21 @@
 //! Tester configuration: the explicit constants behind the paper's `Θ(·)`s.
 
-use planartest_embed::RotationSystem;
 use planartest_graph::fingerprint::{Digest, Fingerprint};
 
-/// How Stage II obtains the per-part combinatorial embedding (the
+/// What Stage II does with the per-part combinatorial embedding (the
 /// Ghaffari–Haeupler substitution; see the round/bandwidth budget
-/// table of `docs/ARCHITECTURE.md`).
-#[derive(Debug, Clone, Default)]
+/// table of `docs/ARCHITECTURE.md`). Both modes embed with the
+/// left-right embedder ([`planartest_embed::check_planarity`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EmbeddingMode {
-    /// Paper-faithful §2.2 behaviour: embed with Demoucron; when a part is
-    /// non-planar, hand out a best-effort ordering and let the
-    /// violation-detection step do the rejecting. **Not one-sided**: our
-    /// reproduction refutes Claim 10 (planar graphs can carry violating
-    /// labellings — see the README's experiment E6), so this mode can
-    /// reject planar inputs. Kept for measuring the paper's mechanism.
-    Demoucron,
+    /// Paper-faithful §2.2 behaviour: when a part is non-planar, hand out
+    /// a best-effort ordering and let the violation-detection step do the
+    /// rejecting. **Not one-sided**: our reproduction refutes Claim 10
+    /// (planar graphs can carry violating labellings — see the README's
+    /// experiment E6), so this mode can reject planar inputs, and which
+    /// planar inputs it rejects depends on the embedding. Kept for
+    /// measuring the paper's mechanism.
+    Paper,
     /// The sound default: a part that the embedder proves non-planar makes
     /// its root reject (the paper's "this constitutes evidence that `Gj`
     /// is not planar"); violating edges are *reported* but are not
@@ -22,12 +23,7 @@ pub enum EmbeddingMode {
     /// always embed, and an `ε/2`-far part is non-planar and is certified
     /// as such.
     #[default]
-    DemoucronStrict,
-    /// Use a pre-computed planar embedding of the *whole* graph, restricted
-    /// to each part (for large certified-planar inputs where the quadratic
-    /// embedder would dominate the experiment runtime). Parts where the
-    /// hint fails verification fall back to best-effort orderings.
-    Hint(RotationSystem),
+    Strict,
 }
 
 /// Configuration of the planarity tester with every `Θ(·)` constant of the
@@ -138,9 +134,15 @@ impl TesterConfig {
 
     /// Stable 128-bit fingerprint of every *outcome-determining* field
     /// **except the seed**: ε, α, the phase/peeling/sampling constants,
-    /// the round cap, and the embedding mode (hints fold in their full
-    /// rotation-system content — different hints can change Stage-II
-    /// verdicts).
+    /// the round cap, and the embedding mode.
+    ///
+    /// The mode tags are still `"demoucron"` and `"demoucron_strict"`, the
+    /// names of the embedder the modes once used, so certificates already
+    /// in a `--state-dir` keep their keys. That is sound across the
+    /// embedder change: a strict-mode certificate rests on the Euler
+    /// bound, arboricity evidence or certified non-planarity, which every
+    /// exact embedder agrees on, and paper-mode rejects are never
+    /// certified.
     ///
     /// This is the configuration axis of the query service's result
     /// cache key. The seed is deliberately excluded: it is the
@@ -160,15 +162,10 @@ impl TesterConfig {
             })
             .f64(self.sample_factor)
             .word(self.max_rounds);
-        match &self.embedding {
-            EmbeddingMode::Demoucron => d.str("demoucron"),
-            EmbeddingMode::DemoucronStrict => d.str("demoucron_strict"),
-            EmbeddingMode::Hint(rot) => {
-                // Fold the full 128-bit rotation digest in as two words.
-                let fp = rot.fingerprint().0;
-                d.str("hint").word(fp as u64).word((fp >> 64) as u64)
-            }
-        };
+        d.str(match self.embedding {
+            EmbeddingMode::Paper => "demoucron",
+            EmbeddingMode::Strict => "demoucron_strict",
+        });
         d.finish()
     }
 }
@@ -213,7 +210,7 @@ mod tests {
         let variants = [
             TesterConfig::new(0.2),
             TesterConfig::new(0.1).with_phases(7),
-            TesterConfig::new(0.1).with_embedding(EmbeddingMode::Demoucron),
+            TesterConfig::new(0.1).with_embedding(EmbeddingMode::Paper),
             {
                 let mut c = TesterConfig::new(0.1);
                 c.alpha = 4;
@@ -233,11 +230,22 @@ mod tests {
         for v in &variants {
             assert_ne!(base.fingerprint(), v.fingerprint(), "{v:?}");
         }
-        // Hints key on rotation content.
-        let g = planartest_graph::Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap();
-        let rot = RotationSystem::from_adjacency(&g);
-        let hinted = TesterConfig::new(0.1).with_embedding(EmbeddingMode::Hint(rot));
-        assert_ne!(base.fingerprint(), hinted.fingerprint());
+    }
+
+    #[test]
+    fn mode_fingerprints_are_pinned() {
+        // Certificates already in a `--state-dir` are keyed by these
+        // values; the mode tags must not move.
+        let strict = TesterConfig::new(0.1);
+        let paper = TesterConfig::new(0.1).with_embedding(EmbeddingMode::Paper);
+        assert_eq!(
+            strict.fingerprint().to_string(),
+            "4fbb19c1c9772780cbb89ea79a86c31c"
+        );
+        assert_eq!(
+            paper.fingerprint().to_string(),
+            "fcff7c38a51a3ecaf72dc09fa14ae497"
+        );
     }
 
     #[test]

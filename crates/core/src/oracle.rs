@@ -222,7 +222,7 @@ impl SparseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use planartest_embed::demoucron::check_planarity;
+    use planartest_embed::check_planarity;
     use planartest_graph::generators::{nonplanar, planar};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

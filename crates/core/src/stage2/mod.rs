@@ -6,9 +6,9 @@
 //! 2. count `n(Gj)`, `m(Gj)` and the non-tree edges (convergecast +
 //!    broadcast, message-level); reject if `m > 3n − 6`;
 //! 3. compute a combinatorial embedding (the Ghaffari–Haeupler
-//!    substitution: Demoucron at the root or a verified hint, with the
-//!    rounds charged per \[22\]'s bound — see the round/bandwidth
-//!    budget table of `docs/ARCHITECTURE.md`);
+//!    substitution: the left-right embedder at the root, with the rounds
+//!    charged per \[22\]'s bound — see the round/bandwidth budget table
+//!    of `docs/ARCHITECTURE.md`);
 //! 4. derive edge labels from the embedding and distribute vertex labels
 //!    down the tree (message-level, pipelined — labels are `Θ(depth)`
 //!    words long);
@@ -25,9 +25,8 @@ mod protocols;
 
 use std::collections::HashMap;
 
-use planartest_embed::demoucron::{check_planarity, PlanarityCheck};
-use planartest_embed::RotationSystem;
-use planartest_graph::{EdgeId, Graph, NodeId};
+use planartest_embed::{check_planarity, PlanarityCheck, RotationSystem};
+use planartest_graph::{EdgeId, Graph, GraphBuilder, NodeId};
 use planartest_sim::bfs::distributed_bfs;
 use planartest_sim::tree::{broadcast, convergecast};
 use planartest_sim::Engine;
@@ -68,10 +67,10 @@ pub struct Stage2Outcome {
     /// Nodes that rejected, with reasons.
     pub rejections: Vec<(NodeId, RejectReason)>,
     /// Nodes that observed a Definition 7 violation. In the paper-faithful
-    /// [`EmbeddingMode::Demoucron`] mode these also reject; in the sound
-    /// modes they are telemetry only, because our reproduction shows
-    /// planar graphs can carry violating labellings (Claim 10 refutation,
-    /// the README's experiment E6).
+    /// [`EmbeddingMode::Paper`] mode these also reject; in the sound
+    /// [`EmbeddingMode::Strict`] mode they are telemetry only, because our
+    /// reproduction shows planar graphs can carry violating labellings
+    /// (Claim 10 refutation, the README's experiment E6).
     pub violation_witnesses: Vec<NodeId>,
     /// Per-part reports.
     pub parts: Vec<PartReport>,
@@ -214,18 +213,21 @@ pub fn run_stage2_many(
 
     // --- 3. Embedding per part (charged substitution). ---
     let members = state.members_by_root();
+    let subgraphs = part_subgraphs(g, &roots, &members);
     let mut reports = Vec::new();
     let mut rotation_at: Vec<Vec<NodeId>> = vec![Vec::new(); n]; // neighbour order per node
     let log_n = (n.max(2) as f64).log2().ceil() as u64;
-    for &r in &roots {
+    for (&r, sub) in roots.iter().zip(&subgraphs) {
         let part: &[NodeId] = &members[&r.raw()];
-        let (sub, orig) = g.induced_subgraph(|v| state.root[v.index()] == r);
         let depth = part.iter().map(|&v| levels[v.index()]).max().unwrap_or(0);
         let diameter_bound = 2 * depth + 1;
         engine.charge_rounds(diameter_bound * diameter_bound.min(log_n).max(1));
-        let (rot, planar) = embed_part(cfg, g, &sub, &orig);
-        if !planar && !matches!(cfg.embedding, EmbeddingMode::Demoucron) {
-            // Sound modes: the certified non-planarity of the part is the
+        let (rot, planar) = match check_planarity(sub) {
+            PlanarityCheck::Planar(rot) => (rot, true),
+            PlanarityCheck::NonPlanar => (RotationSystem::from_adjacency(sub), false),
+        };
+        if !planar && cfg.embedding == EmbeddingMode::Strict {
+            // Strict mode: the certified non-planarity of the part is the
             // rejection evidence (it exists whenever the part is far).
             rejections.push((r, RejectReason::EmbeddingFailed));
         }
@@ -233,9 +235,9 @@ pub fn run_stage2_many(
             let order: Vec<NodeId> = rot
                 .order_at(v)
                 .iter()
-                .map(|&e| orig[sub.other_endpoint(e, v).index()])
+                .map(|&e| part[sub.other_endpoint(e, v).index()])
                 .collect();
-            rotation_at[orig[v.index()].index()] = order;
+            rotation_at[part[v.index()].index()] = order;
         }
         let &(nn, mm, nt) = &part_counts[&r.raw()];
         reports.push(PartReport {
@@ -344,30 +346,34 @@ pub fn run_stage2_many(
     // batch instance per seed.
     let collected = crate::comm::up_stream_batch(engine, &tree, all_sample_items, max_rounds)?;
     let mut all_down_payloads: Vec<Vec<Vec<Msg>>> = Vec::with_capacity(seeds.len());
-    let mut all_root_samples: Vec<HashMap<u32, Vec<LabeledEdge>>> = Vec::with_capacity(seeds.len());
+    // Per instance and root: the decoded sample list and the number of
+    // messages that carry it down the tree.
+    let mut all_root_samples: Vec<HashMap<u32, (Vec<LabeledEdge>, usize)>> =
+        Vec::with_capacity(seeds.len());
     for (collected_k, _) in &collected {
         let mut down_payload: Vec<Vec<Msg>> = vec![Vec::new(); n];
-        let mut sampled_intervals_at_root: HashMap<u32, Vec<LabeledEdge>> = HashMap::new();
+        let mut sampled_intervals_at_root: HashMap<u32, (Vec<LabeledEdge>, usize)> = HashMap::new();
         for &r in &roots {
             let words = decode_streams(&collected_k[r.index()]);
-            sampled_intervals_at_root.insert(r.raw(), words.clone());
-            down_payload[r.index()] = words
+            let msgs: Vec<Msg> = words
                 .iter()
                 .flat_map(|iv| encode_interval(r.raw() as u64, iv))
                 .collect();
+            sampled_intervals_at_root.insert(r.raw(), (words, msgs.len()));
+            down_payload[r.index()] = msgs;
         }
         all_down_payloads.push(down_payload);
         all_root_samples.push(sampled_intervals_at_root);
     }
-    let received =
+    let delivered =
         crate::comm::stream_broadcast_batch(engine, &tree, all_down_payloads, max_rounds)?;
 
     // Local violation checks, per instance.
-    let paper_mode = matches!(cfg.embedding, EmbeddingMode::Demoucron);
+    let paper_mode = cfg.embedding == EmbeddingMode::Paper;
     let mut outcomes = Vec::with_capacity(seeds.len());
     let mut stats = Vec::with_capacity(seeds.len());
-    for (k, ((_, up_report), (_received_k, down_report))) in
-        collected.iter().zip(&received).enumerate()
+    for (k, ((_, up_report), (delivered_k, down_report))) in
+        collected.iter().zip(&delivered).enumerate()
     {
         let mut rejections = shared_rejections.clone();
         let mut violation_witnesses = Vec::new();
@@ -375,25 +381,16 @@ pub fn run_stage2_many(
             if intervals[v].is_empty() {
                 continue;
             }
-            // The pipelined broadcast delivers each root's sample list
-            // down its tree verbatim and in FIFO order, so every member
-            // checks against exactly the list already decoded at the
-            // root — borrow it instead of re-decoding the received
-            // stream at all n nodes (which made the local check rival
-            // the engine run itself in the batched sweep).
-            let sample: &[LabeledEdge] = &all_root_samples[k][&state.root[v].raw()];
-            #[cfg(debug_assertions)]
-            if state.root[v].index() != v {
-                let rx: Vec<(NodeId, Msg)> = _received_k[v]
-                    .iter()
-                    .map(|m| (NodeId::new(0), m.clone()))
-                    .collect();
-                debug_assert_eq!(
-                    decode_streams(&rx),
-                    sample,
-                    "broadcast must deliver the root's sample list verbatim"
-                );
-            }
+            // The broadcast checks every arrival against the root's
+            // message list, so a member that received all of it holds
+            // exactly the list already decoded at the root: borrow that
+            // instead of re-decoding a stream at all n nodes.
+            let (sample, sent) = &all_root_samples[k][&state.root[v].raw()];
+            assert!(
+                state.root[v].index() == v || delivered_k[v] == *sent,
+                "protocol bug: node {v} received {} of its root's {sent} sample messages",
+                delivered_k[v]
+            );
             'outer: for iv in &intervals[v] {
                 for s in sample {
                     if iv.intersects(s) {
@@ -452,53 +449,32 @@ fn assign_non_tree_edges(
     assigned
 }
 
-/// Obtains a rotation for one part: `(rotation, verified planar)`.
-///
-/// `orig` maps sub-graph node ids back to whole-graph ids (for hints).
-fn embed_part(
-    cfg: &TesterConfig,
-    g: &Graph,
-    sub: &Graph,
-    orig: &[NodeId],
-) -> (RotationSystem, bool) {
-    match &cfg.embedding {
-        EmbeddingMode::Hint(hint) => {
-            // Restrict the whole-graph rotation to the part: planar
-            // embeddings stay planar under edge/vertex deletion.
-            let mut new_of = vec![usize::MAX; g.n()];
-            for (nv, &ov) in orig.iter().enumerate() {
-                new_of[ov.index()] = nv;
-            }
-            let mut orders = Vec::with_capacity(sub.n());
-            for v in sub.nodes() {
-                let ov = orig[v.index()];
-                let mut ord = Vec::new();
-                for &e in hint.order_at(ov) {
-                    let ow = g.other_endpoint(e, ov);
-                    let nw = new_of[ow.index()];
-                    if nw != usize::MAX {
-                        if let Some(se) = sub.edge_between(v, NodeId::new(nw)) {
-                            ord.push(se);
-                        }
-                    }
-                }
-                orders.push(ord);
-            }
-            match RotationSystem::new(sub, orders) {
-                Ok(rot) if rot.is_planar_embedding(sub) => (rot, true),
-                // Hint did not verify: fall back to the certified embedder
-                // so soundness is preserved.
-                _ => match check_planarity(sub) {
-                    PlanarityCheck::Planar(rot) => (rot, true),
-                    PlanarityCheck::NonPlanar => (RotationSystem::from_adjacency(sub), false),
-                },
-            }
+/// The subgraph induced by each part, in `roots` order, built in one
+/// pass over the edges. Each part's nodes are numbered in ascending id
+/// order (its `members` list) and its edges in edge-id order, exactly as
+/// [`Graph::induced_subgraph`] numbers them, so the embedder sees the same
+/// input either way.
+fn part_subgraphs(g: &Graph, roots: &[NodeId], members: &HashMap<u32, Vec<NodeId>>) -> Vec<Graph> {
+    let mut part_of = vec![0u32; g.n()];
+    let mut local = vec![0u32; g.n()];
+    let mut builders: Vec<GraphBuilder> = Vec::with_capacity(roots.len());
+    for (p, r) in roots.iter().enumerate() {
+        let part = &members[&r.raw()];
+        for (i, v) in part.iter().enumerate() {
+            part_of[v.index()] = p as u32;
+            local[v.index()] = i as u32;
         }
-        EmbeddingMode::Demoucron | EmbeddingMode::DemoucronStrict => match check_planarity(sub) {
-            PlanarityCheck::Planar(rot) => (rot, true),
-            PlanarityCheck::NonPlanar => (RotationSystem::from_adjacency(sub), false),
-        },
+        builders.push(GraphBuilder::new(part.len()));
     }
+    for (u, v) in g.edges() {
+        let p = part_of[u.index()];
+        if p == part_of[v.index()] {
+            builders[p as usize]
+                .add_edge(local[u.index()] as usize, local[v.index()] as usize)
+                .expect("part-local ids are in range");
+        }
+    }
+    builders.into_iter().map(GraphBuilder::build).collect()
 }
 
 /// Encodes `(origin, interval)` into bandwidth-sized chunks: payload
@@ -632,7 +608,7 @@ mod tests {
             .any(|&(_, r)| r == RejectReason::EmbeddingFailed));
         assert!(!out.violation_witnesses.is_empty(), "Claim 8 direction");
 
-        let paper = TesterConfig::new(0.2).with_embedding(EmbeddingMode::Demoucron);
+        let paper = TesterConfig::new(0.2).with_embedding(EmbeddingMode::Paper);
         let out = stage2_singleton_partition(&g, &paper);
         assert!(out
             .rejections
@@ -654,12 +630,48 @@ mod tests {
     #[test]
     fn strict_mode_rejects_at_embedding() {
         let g = nonplanar::complete_bipartite(3, 3).graph;
-        let cfg = TesterConfig::new(0.2).with_embedding(EmbeddingMode::DemoucronStrict);
+        let cfg = TesterConfig::new(0.2).with_embedding(EmbeddingMode::Strict);
         let out = stage2_singleton_partition(&g, &cfg);
         assert!(out
             .rejections
             .iter()
             .any(|&(_, r)| r == RejectReason::EmbeddingFailed));
+    }
+
+    /// Every part's subgraph from the one-pass split equals
+    /// `induced_subgraph`'s, node and edge numbering included.
+    fn assert_split_matches_induced(g: &Graph, state: &PartitionState) -> usize {
+        let roots: Vec<NodeId> = g.nodes().filter(|&v| state.root[v.index()] == v).collect();
+        let members = state.members_by_root();
+        let subs = part_subgraphs(g, &roots, &members);
+        assert_eq!(subs.len(), roots.len());
+        for (&r, sub) in roots.iter().zip(&subs) {
+            let (expected, orig) = g.induced_subgraph(|v| state.root[v.index()] == r);
+            assert_eq!(sub, &expected, "part {r:?}");
+            assert_eq!(orig, members[&r.raw()], "part {r:?}");
+        }
+        roots.len()
+    }
+
+    #[test]
+    fn part_subgraphs_match_induced_subgraph() {
+        let g = planar::random_planar(1000, 0.7, &mut StdRng::seed_from_u64(3)).graph;
+        let mut engine = Engine::new(&g, SimConfig::default());
+        let part = crate::partition::run_partition(&mut engine, &TesterConfig::new(0.2)).unwrap();
+        assert!(part.rejected.is_empty());
+        assert_eq!(assert_split_matches_induced(&g, &part.state), 14);
+
+        // Many parts: blocks of 7 consecutive ids of a triangulated grid
+        // (parts need not be connected for the split).
+        let g = planar::triangulated_grid(20, 20).graph;
+        let state = PartitionState {
+            root: g
+                .nodes()
+                .map(|v| NodeId::new(v.index() - v.index() % 7))
+                .collect(),
+            parent: vec![None; g.n()],
+        };
+        assert_eq!(assert_split_matches_induced(&g, &state), 58);
     }
 
     fn rng() -> StdRng {

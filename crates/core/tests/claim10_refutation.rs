@@ -8,7 +8,7 @@
 
 use planartest_core::oracle::{count_violating_edges, non_tree_intervals};
 use planartest_core::{EmbeddingMode, PlanarityTester, TesterConfig};
-use planartest_embed::demoucron::check_planarity;
+use planartest_embed::check_planarity;
 use planartest_graph::{Graph, NodeId};
 
 /// The minimal counterexample found by the debug sweep: an Apollonian
@@ -79,7 +79,7 @@ fn paper_mode_can_reject_the_planar_counterexample() {
     let g = counterexample();
     let cfg = TesterConfig::new(0.05)
         .with_phases(4)
-        .with_embedding(EmbeddingMode::Demoucron);
+        .with_embedding(EmbeddingMode::Paper);
     let out = PlanarityTester::new(cfg).run(&g).expect("tester runs");
     // Whether it rejects depends on which part the partition formed and
     // what got sampled; across seeds at least one rejection must appear.
@@ -88,7 +88,7 @@ fn paper_mode_can_reject_the_planar_counterexample() {
         let cfg = TesterConfig::new(0.05)
             .with_phases(4)
             .with_seed(seed)
-            .with_embedding(EmbeddingMode::Demoucron);
+            .with_embedding(EmbeddingMode::Paper);
         if !PlanarityTester::new(cfg).run(&g).expect("runs").accepted() {
             any_reject = true;
         }

@@ -11,18 +11,18 @@
 //!   face tracing and Euler-genus computation ([`RotationSystem::genus`]),
 //!   so embeddings are *verifiable*: a rotation system of a connected graph
 //!   is a planar embedding iff its genus is 0.
-//! * [`demoucron::check_planarity`] — the Demoucron–Malgrange–Pertuiset
-//!   planarity test & embedder (quadratic, certificate-producing), working
-//!   block-by-block via the biconnected decomposition.
-//! * [`hints`] — fast embedding constructors for graphs generated with
-//!   geometric coordinates or known face lists (used to keep large planar
-//!   experiments fast).
+//! * [`check_planarity`] — the left-right planarity test and embedder of
+//!   de Fraysseix and Rosenstiehl, in Brandes' form (near-linear,
+//!   iterative, deterministic). It is the one embedder: the former
+//!   Demoucron path [`demoucron`] is a re-export of it, and the quadratic
+//!   Demoucron–Malgrange–Pertuiset embedder is a test oracle under
+//!   `crates/embed/tests/`.
 //!
 //! # Example
 //!
 //! ```
 //! use planartest_graph::Graph;
-//! use planartest_embed::demoucron::{check_planarity, PlanarityCheck};
+//! use planartest_embed::{check_planarity, PlanarityCheck};
 //!
 //! // K4 is planar ...
 //! let k4 = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])?;
@@ -39,7 +39,8 @@
 //! ```
 
 pub mod demoucron;
-pub mod hints;
+mod lr;
 mod rotation;
 
+pub use crate::lr::{check_planarity, is_planar, PlanarityCheck};
 pub use crate::rotation::{Dart, Face, RotationError, RotationSystem};

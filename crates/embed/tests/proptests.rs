@@ -1,8 +1,6 @@
 //! Property-based tests for the embedding substrate.
 
-use planartest_embed::demoucron::{check_planarity, is_planar, PlanarityCheck};
-use planartest_embed::hints::{grid_coordinates, rotation_from_coordinates};
-use planartest_embed::RotationSystem;
+use planartest_embed::{check_planarity, is_planar, PlanarityCheck, RotationSystem};
 use planartest_graph::generators::{nonplanar, planar};
 use planartest_graph::{Graph, GraphBuilder};
 use proptest::prelude::*;
@@ -12,7 +10,7 @@ use rand::SeedableRng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Demoucron's verdict is invariant under planarity-preserving
+    /// The embedder's verdict is invariant under planarity-preserving
     /// operations: deleting any edge of a planar graph keeps it planar.
     #[test]
     fn edge_deletion_preserves_planarity(seed in 0u64..5000, n in 4usize..50, victim in 0usize..200) {
@@ -24,7 +22,7 @@ proptest! {
         prop_assert!(is_planar(&h), "deleting an edge broke planarity?!");
     }
 
-    /// Every embedding Demoucron returns verifies via the Euler formula,
+    /// Every embedding the embedder returns verifies via the Euler formula,
     /// and its face count is exactly m - n + 1 + c (c components).
     #[test]
     fn returned_embeddings_verify(seed in 0u64..5000, keep in 0.3f64..1.0) {
@@ -53,9 +51,9 @@ proptest! {
     }
 
     /// Adding enough random chords to a maximal planar graph always makes
-    /// Demoucron reject (Euler bound kicks in at k >= 1 over the maximum,
-    /// but even for small k the embedder itself must find the fragment
-    /// obstruction).
+    /// the embedder reject (Euler bound kicks in at k >= 1 over the maximum,
+    /// but even for small k the embedder itself must find the left-right
+    /// conflict).
     #[test]
     fn supergraphs_of_maximal_planar_reject(seed in 0u64..5000, k in 1usize..10) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -63,13 +61,12 @@ proptest! {
         prop_assert!(!is_planar(&c.graph), "maximal planar + chord must be non-planar");
     }
 
-    /// Coordinate-derived rotations on (planarly drawn) grids always
-    /// verify; corrupting the rotation at one vertex is either caught by
+    /// Embedded grids always verify; corrupting the rotation at one vertex is either caught by
     /// validation or changes the genus/face structure, never panics.
     #[test]
     fn rotation_corruption_is_detected_or_benign(rows in 2usize..6, cols in 2usize..6, swap in 0usize..100) {
         let g = planar::grid(rows, cols).graph;
-        let rot = rotation_from_coordinates(&g, &grid_coordinates(rows, cols)).expect("grid");
+        let rot = check_planarity(&g).into_rotation().expect("grids are planar");
         prop_assert!(rot.is_planar_embedding(&g));
         // Swap two entries in one vertex's order.
         let v = planartest_graph::NodeId::new(swap % g.n());

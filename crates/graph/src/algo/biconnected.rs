@@ -1,7 +1,7 @@
 //! Biconnected components (blocks) via Tarjan's lowpoint algorithm.
 //!
-//! The Demoucron planar-embedding algorithm in `planartest-embed` embeds
-//! each block separately and stitches rotations at cut vertices.
+//! The Demoucron embedder that `planartest-embed` keeps as a test oracle
+//! embeds each block separately and stitches rotations at cut vertices.
 
 use crate::{EdgeId, Graph, NodeId};
 

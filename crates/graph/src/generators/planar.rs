@@ -141,17 +141,6 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Certified {
 ///
 /// Panics if `n < 3`.
 pub fn apollonian<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Certified {
-    apollonian_with_faces(n, rng).0
-}
-
-/// Like [`apollonian`], but also returns the oriented triangular face list
-/// of the final triangulation — each directed edge appears in exactly one
-/// face, so the list determines a planar rotation system (used as an
-/// embedding hint for large experiments).
-pub fn apollonian_with_faces<R: Rng + ?Sized>(
-    n: usize,
-    rng: &mut R,
-) -> (Certified, Vec<[usize; 3]>) {
     assert!(n >= 3, "apollonian requires n >= 3");
     let mut b = GraphBuilder::new(n);
     b.add_edge(0, 1).expect("in range");
@@ -170,7 +159,7 @@ pub fn apollonian_with_faces<R: Rng + ?Sized>(
         faces.push([bb, c, v]);
         faces.push([c, a, v]);
     }
-    (certified(b.build(), format!("apollonian(n={n})")), faces)
+    certified(b.build(), format!("apollonian(n={n})"))
 }
 
 /// Random planar graph: an Apollonian network with each edge independently
@@ -184,7 +173,7 @@ pub fn apollonian_with_faces<R: Rng + ?Sized>(
 /// Panics if `n < 3` or `keep` is not in `[0, 1]`.
 pub fn random_planar<R: Rng + ?Sized>(n: usize, keep: f64, rng: &mut R) -> Certified {
     assert!((0.0..=1.0).contains(&keep), "keep must be a probability");
-    let full = apollonian_with_faces(n, rng).0.graph;
+    let full = apollonian(n, rng).graph;
     let mut b = GraphBuilder::new(n);
     for (u, v) in full.edges() {
         if rng.random_bool(keep) {

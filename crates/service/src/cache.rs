@@ -8,7 +8,7 @@
 //!   non-planar — for every seed, forever. The first reject observed for
 //!   a `(graph, config, property)` is stored permanently and replayed
 //!   (witness included) for queries under seeds that were never run.
-//!   The one exception is the paper-faithful `Demoucron` embedding mode,
+//!   The one exception is the paper-faithful `Paper` embedding mode,
 //!   which is *not* one-sided (the Claim 10 refutation): its rejects
 //!   stay per-seed observations and are never promoted to certificates
 //!   (the scheduler passes `certifiable = false`).
@@ -221,7 +221,7 @@ impl ResultCache {
     /// the key's permanent certificate (first reject wins, keeping
     /// certificate replays deterministic regardless of later passes) —
     /// but **only** when the caller vouches the configuration is
-    /// one-sided (`certifiable`). The paper-faithful `Demoucron` mode
+    /// one-sided (`certifiable`). The paper-faithful `Paper` mode
     /// can reject planar graphs (the Claim 10 refutation), so its
     /// rejects are per-seed observations like accepts, never
     /// seed-universal proofs.

@@ -118,8 +118,8 @@ pub fn parse_query(req: &Value) -> Result<Query, String> {
     }
     match req.get("embedding").map(|v| v.as_str()) {
         None => {}
-        Some(Some("strict")) => cfg = cfg.with_embedding(EmbeddingMode::DemoucronStrict),
-        Some(Some("paper")) => cfg = cfg.with_embedding(EmbeddingMode::Demoucron),
+        Some(Some("strict")) => cfg = cfg.with_embedding(EmbeddingMode::Strict),
+        Some(Some("paper")) => cfg = cfg.with_embedding(EmbeddingMode::Paper),
         Some(_) => return Err("`embedding` must be `strict` or `paper`".to_string()),
     }
     Ok(Query {

@@ -16,8 +16,8 @@
 //!   algorithms;
 //! * [`sim`] (`planartest-sim`) — the CONGEST engine and distributed
 //!   primitives;
-//! * [`embed`] (`planartest-embed`) — rotation systems and the Demoucron
-//!   embedder;
+//! * [`embed`] (`planartest-embed`) — rotation systems and the left-right
+//!   planarity test and embedder;
 //! * [`core`] (`planartest-core`) — the paper's two-stage tester and
 //!   companions;
 //! * [`service`] (`planartest-service`) — the query service layer:
@@ -49,7 +49,7 @@
 //! therefore rejects on *certified* per-part non-planarity (an evidence
 //! path the paper itself describes) and reports violating edges as
 //! telemetry; the paper-faithful behaviour remains available as
-//! [`core::EmbeddingMode::Demoucron`].
+//! [`core::EmbeddingMode::Paper`].
 
 pub use planartest_core as core;
 pub use planartest_embed as embed;

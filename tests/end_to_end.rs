@@ -3,7 +3,7 @@
 //! against the centralized planarity substrate.
 
 use planartest::core::{EmbeddingMode, PlanarityTester, RejectReason, TesterConfig};
-use planartest::embed::demoucron::is_planar;
+use planartest::embed::is_planar;
 use planartest::graph::generators::{nonplanar, planar, Certified, PlanarityStatus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,7 +119,7 @@ fn paper_mode_soundness() {
     let far = nonplanar::planar_plus_chords(70, 70, &mut rng);
     let cfg = TesterConfig::new(0.05)
         .with_phases(8)
-        .with_embedding(EmbeddingMode::Demoucron);
+        .with_embedding(EmbeddingMode::Paper);
     let out = PlanarityTester::new(cfg).run(&far.graph).expect("run");
     assert!(!out.accepted());
 }

@@ -7,8 +7,8 @@ use planartest::core::oracle::{
 use planartest::core::partition::run_partition;
 use planartest::core::stage2::labels::{Label, LabeledEdge};
 use planartest::core::TesterConfig;
-use planartest::embed::demoucron::{check_planarity, is_planar};
 use planartest::embed::RotationSystem;
+use planartest::embed::{check_planarity, is_planar, PlanarityCheck};
 use planartest::graph::generators::{nonplanar, planar};
 use planartest::graph::{Graph, NodeId};
 use planartest::sim::{Engine, SimConfig};
@@ -92,8 +92,8 @@ proptest! {
         }
     }
 
-    /// The Euler-formula verifier agrees with Demoucron on random graphs:
-    /// if Demoucron embeds, genus is 0; if it rejects, no rotation we can
+    /// The Euler-formula verifier agrees with the embedder on random
+    /// graphs: if it embeds, genus is 0; if it rejects, no rotation we can
     /// build from adjacency order verifies as planar *and* the graph
     /// contains K5/K33-ish density or a refuting fragment.
     #[test]
@@ -105,10 +105,10 @@ proptest! {
         let extra = extra.min(n).min(free);
         let c = nonplanar::planar_plus_chords(n, extra, &mut rng);
         match check_planarity(&c.graph) {
-            planartest::embed::demoucron::PlanarityCheck::Planar(rot) => {
+            PlanarityCheck::Planar(rot) => {
                 prop_assert!(rot.is_planar_embedding(&c.graph));
             }
-            planartest::embed::demoucron::PlanarityCheck::NonPlanar => {
+            PlanarityCheck::NonPlanar => {
                 // Cross-check: deleting the added chords leaves a planar
                 // base, so non-planarity must come from the chords.
                 prop_assert!(extra > 0);
