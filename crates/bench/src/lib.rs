@@ -1,5 +1,5 @@
 //! Experiment harness for the README's Experiments table: workload
-//! construction, sweeps, and the table printers behind the `e1`–`e13`
+//! construction, sweeps, and the table printers behind the `e1`–`e12`
 //! binaries.
 //!
 //! Every experiment is a plain function so the `all_experiments` binary
@@ -7,14 +7,14 @@
 //! Sizes respect the `PLANARTEST_QUICK` environment variable (any value →
 //! smaller sweeps) so CI stays fast while full runs remain one command.
 //!
-//! Three experiments double as CI performance gates, each writing a
+//! Three benchmarks double as CI performance gates, each writing a
 //! machine-readable artifact: [`runtime_bench`] (`BENCH_runtime.json`,
-//! engine/tester/batching/kernel speedups), [`service_load`]
-//! (`BENCH_service.json`, the query service's cold/warm latency and
-//! coalescing throughput) and [`persist_bench`] (`BENCH_persist.json`,
-//! certificate-replay speedup, out-of-core streaming ingest and
-//! mapped-vs-resident tier parity). Their `--check` binaries fail the
-//! build on regression.
+//! engine/tester/batching/kernel speedups), [`persist_bench`]
+//! (`BENCH_persist.json`, certificate-replay speedup, out-of-core
+//! streaming ingest and mapped-vs-resident tier parity) and
+//! [`load_bench`] (`BENCH_load.json`, the socket server under open-loop
+//! load and in the closed-loop cache, coalescing and tracing
+//! scenarios). Their `--check` binaries fail the build on regression.
 
 use planartest_core::applications::{build_spanner, test_bipartiteness, test_cycle_freeness};
 use planartest_core::baselines::{random_shift_partition, shift_spanner, RandomShiftConfig};
@@ -35,7 +35,6 @@ pub mod json;
 mod load_bench;
 mod persist_bench;
 mod runtime_bench;
-mod service_load;
 
 pub use load_bench::{
     build_workload, load_bench, load_bench_document, Arrival, LoadGate, OpKind, Workload,
@@ -43,7 +42,6 @@ pub use load_bench::{
 };
 pub use persist_bench::{persist_bench, persist_bench_document, PersistGate};
 pub use runtime_bench::{runtime_bench, runtime_bench_document, BenchGate};
-pub use service_load::{service_load, service_load_document, ServiceGate};
 
 /// Logical cores the OS offers this process (ignores
 /// `PLANARTEST_THREADS`, which only sizes the pool).

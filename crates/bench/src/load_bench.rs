@@ -1,13 +1,16 @@
-//! E15 — open-loop mixed-workload load harness with saturation sweep,
-//! written both as tables and as machine-readable `BENCH_load.json`.
+//! E15 — the load harness: an open-loop mixed-workload saturation
+//! sweep plus the closed-loop service scenarios, written both as tables
+//! and as machine-readable `BENCH_load.json`.
 //!
-//! Everything before this bench was **closed-loop**: the next request
-//! waited for the last response, so the system could never be offered
-//! more work than it finished and queueing collapse was structurally
-//! invisible. This harness is **open-loop**: requests are sent on a
-//! pre-computed arrival schedule regardless of responses, exactly the
-//! way independent users behave, so offered load can exceed capacity
-//! and the collapse becomes measurable.
+//! Every scenario runs on one load client: each of its unix-socket
+//! connections replays a list of request lines against an in-process
+//! [`Server`] and may keep at most a *window* of them unanswered. The
+//! open loop's window is unbounded — requests go out on a pre-computed
+//! arrival schedule regardless of responses, exactly the way
+//! independent users behave, so offered load can exceed capacity and
+//! queueing collapse becomes measurable. The closed loop's window is 1
+//! — a client sends its next line only after reading the previous
+//! response. The two loops differ in nothing else.
 //!
 //! Per sweep rate, against a fresh in-process [`Server`]:
 //!
@@ -47,14 +50,13 @@
 //! where one unread socket buffer stalled the drain cycle for
 //! everyone.
 //!
-//! The `--check` gate ([`LoadGate`]): a knee was found above the
-//! lowest rate and at or above the [`LoadGate::KNEE_FLOOR_QPS`]
-//! ratchet, p99 at the highest sub-knee rate meets the
-//! [`LoadGate::P99_SLO_MICROS`] SLO, the warm-hit p99 there meets the
-//! (much tighter) [`LoadGate::WARM_P99_CEIL_MICROS`] fast-path
-//! ceiling, no response was lost mid-flight, the double-run digests
-//! matched, and the slow-reader scenario left healthy connections
-//! within [`LoadGate::FAIRNESS_FACTOR`]× of their all-healthy p99.
+//! Then four **closed-loop scenarios** against fresh servers check the
+//! one-sided-error cache and coalescing: warm vs cold replay, a `batch`
+//! op and a multi-client fan-out each against serial queries, and the
+//! cost of the `--trace` event log (left behind as
+//! `BENCH_trace.ldjson`).
+//!
+//! [`LoadGate`] turns all of it into the `--check` exit code.
 
 use crate::json::Json;
 use crate::quick;
@@ -162,6 +164,68 @@ fn query_line(graph: &str, property: &str, eps: f64, seed: u64) -> String {
     )
 }
 
+/// The `stats` probe.
+const STATS_LINE: &str = "{\"op\":\"stats\"}\n";
+
+/// A `batch` op over query lines (as [`query_line`] renders them).
+fn batch_line(members: &[String]) -> String {
+    let members: Vec<&str> = members.iter().map(|m| m.trim_end()).collect();
+    format!("{{\"op\":\"batch\",\"queries\":[{}]}}\n", members.join(","))
+}
+
+/// The warm pool as wire lines, one group per `(graph, epsilon)`:
+/// planarity under every warm seed, then both hereditary properties.
+/// The sweep pre-populates its cache with it (one `batch` per group);
+/// the closed-loop scenarios replay it cold.
+fn warm_pool() -> Vec<Vec<String>> {
+    let mut groups = Vec::new();
+    for (name, _, _) in corpus() {
+        for eps in EPSILONS {
+            let mut group: Vec<String> = (0..warm_seeds())
+                .map(|s| query_line(name, "planarity", eps, s))
+                .collect();
+            for property in ["cycle_freeness", "bipartiteness"] {
+                group.push(query_line(name, property, eps, 0));
+            }
+            groups.push(group);
+        }
+    }
+    groups
+}
+
+/// A workload whose requests are all due at once (time 0): the
+/// closed-loop shape, where the window rather than a schedule paces
+/// each client. Takes lines as [`query_line`] and [`batch_line`]
+/// render them, or [`STATS_LINE`].
+fn at_once(per_conn: Vec<Vec<String>>) -> Workload {
+    let arrival = |line: String| {
+        let kind = match line.split('"').nth(3) {
+            Some("query") => OpKind::Query,
+            Some("batch") => OpKind::Batch,
+            Some("stats") => OpKind::Stats,
+            _ => OpKind::Ingest,
+        };
+        Arrival {
+            at_micros: 0,
+            kind,
+            line,
+        }
+    };
+    let per_conn: Vec<Vec<Arrival>> = per_conn
+        .into_iter()
+        .map(|lines| lines.into_iter().map(arrival).collect())
+        .collect();
+    let all = || per_conn.iter().flatten();
+    Workload {
+        requests: all().count(),
+        queries: all()
+            .map(|a| a.line.matches("\"op\":\"query\"").count())
+            .sum(),
+        last_arrival_micros: 0,
+        per_conn,
+    }
+}
+
 /// Builds the deterministic request schedule for one rate point.
 ///
 /// Op mix (drawn per arrival from one seeded RNG stream, so the whole
@@ -233,19 +297,11 @@ pub fn build_workload(seed: u64, rate_per_sec: f64, horizon_micros: u64) -> Work
                 query_line(graph, "planarity", eps, 10_000 + fresh),
             )
         } else if draw < 0.89 {
-            let members: Vec<String> = (0..3)
-                .map(|_| {
-                    queries += 1;
-                    let q = warm_query(&mut rng);
-                    q.trim_end().to_string()
-                })
-                .collect();
-            (
-                OpKind::Batch,
-                format!("{{\"op\":\"batch\",\"queries\":[{}]}}\n", members.join(",")),
-            )
+            queries += 3;
+            let members: Vec<String> = (0..3).map(|_| warm_query(&mut rng)).collect();
+            (OpKind::Batch, batch_line(&members))
         } else if draw < 0.96 {
-            (OpKind::Stats, "{\"op\":\"stats\"}\n".to_string())
+            (OpKind::Stats, STATS_LINE.to_string())
         } else {
             ingests += 1;
             (
@@ -297,6 +353,15 @@ pub struct LoadGate {
     /// Client-side p99 (µs) of the *same* connections when one peer
     /// connection is throttled to ~1 byte/ms.
     pub slow_reader_healthy_p99_micros: u64,
+    /// Closed-loop cold p50 over warm p50 on the warm-pool replay.
+    pub warm_p50_speedup: f64,
+    /// Serial wall over `batch`-op wall on the same-graph fan-out.
+    pub coalesced_speedup: f64,
+    /// Serial wall over multi-client wall on the same fan-out.
+    pub multi_client_speedup: f64,
+    /// Traced over plain throughput on the cold replay (median of
+    /// back-to-back pair ratios).
+    pub trace_overhead: f64,
 }
 
 impl LoadGate {
@@ -337,6 +402,19 @@ impl LoadGate {
     /// runs measured factors 1.0–1.8 against ≈70–140 ms baselines).
     pub const FAIRNESS_SLACK_MICROS: u64 = 25_000;
 
+    /// Minimum cold-p50 / warm-p50 ratio: a cache hit must be at least
+    /// an order of magnitude cheaper than an engine pass.
+    pub const WARM_SPEEDUP_FLOOR: f64 = 10.0;
+
+    /// Minimum serial / coalesced wall ratio, for both the `batch` op
+    /// and the multi-client fan-out: the shared Stage-I pass must at
+    /// least break even, framing and scheduling overhead included.
+    pub const COALESCED_SPEEDUP_FLOOR: f64 = 1.0;
+
+    /// Minimum traced / plain throughput ratio: the `--trace` event log
+    /// may cost at most 5% of cold-path serving throughput.
+    pub const TRACE_OVERHEAD_FLOOR: f64 = 0.95;
+
     /// Whether the slow-reader scenario left healthy connections
     /// inside the fairness envelope.
     #[must_use]
@@ -349,7 +427,8 @@ impl LoadGate {
     /// rate below it) at or above the capacity floor, the sub-knee
     /// p99 meets the SLO and its warm-hit slice meets the fast-path
     /// ceiling, the sweep was reproducible, no response went missing
-    /// mid-flight, and a slow reader hurt only itself.
+    /// mid-flight, a slow reader hurt only itself, and every
+    /// closed-loop ratio meets its floor.
     #[must_use]
     pub fn pass(&self) -> bool {
         self.knee_detected
@@ -359,6 +438,10 @@ impl LoadGate {
             && self.deterministic
             && self.responses_lost == 0
             && self.fairness_ok()
+            && self.warm_p50_speedup >= Self::WARM_SPEEDUP_FLOOR
+            && self.coalesced_speedup >= Self::COALESCED_SPEEDUP_FLOOR
+            && self.multi_client_speedup >= Self::COALESCED_SPEEDUP_FLOOR
+            && self.trace_overhead >= Self::TRACE_OVERHEAD_FLOOR
     }
 }
 
@@ -366,74 +449,78 @@ impl LoadGate {
 mod sweep {
     use std::io::{BufRead, BufReader, Read, Write};
     use std::os::unix::net::UnixStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
-    use planartest_core::TesterConfig;
     use planartest_service::wire::Value;
     use planartest_service::{
-        CacheStatus, GraphRef, Histogram, Property, Query, ServeOptions, Server, Service, Telemetry,
+        protocol, CacheStatus, Histogram, Property, ServeOptions, Server, Service, Telemetry,
     };
 
     use super::{
-        build_workload, corpus, warm_seeds, Json, LoadGate, OpKind, CONNECTIONS, EPSILONS,
-        KNEE_FRACTION, LOAD_SEED, PHASES,
+        at_once, batch_line, build_workload, corpus, query_line, warm_pool, Json, LoadGate, OpKind,
+        Workload, CONNECTIONS, KNEE_FRACTION, LOAD_SEED, STATS_LINE,
     };
     use crate::{host_record, quick};
 
-    /// Everything measured at one sweep rate.
-    pub(super) struct RateOutcome {
-        pub offered_qps: f64,
-        pub realized_offered_qps: f64,
+    /// Everything measured over one run of a workload.
+    pub(super) struct RunOutcome {
         pub requests: usize,
-        pub queries: usize,
         pub achieved_qps: f64,
         pub wall_secs: f64,
+        /// End-to-end p50/p99 and warm-hit (warm + certificate) p99
+        /// (µs) over the run's telemetry window.
         pub p50_micros: u64,
         pub p99_micros: u64,
-        pub p999_micros: u64,
-        pub mean_micros: f64,
-        pub latency_count: u64,
-        /// Warm-hit (warm + certificate) p99 — the fast-path slice of
-        /// the same telemetry window.
         pub warm_p99_micros: u64,
-        /// Client-side p99 across all connections: response receipt
-        /// minus *scheduled* send, so schedule slip under overload is
-        /// charged to the server, open-loop style.
-        pub client_p99_micros: u64,
         pub queue_depth_hwm: usize,
         pub responses_lost: u64,
-        pub responses_lost_shutdown: u64,
         pub responses_shed: u64,
-        pub outbound_depth_hwm: usize,
-        pub writer_stalls: u64,
         pub engine_passes: u64,
         pub coalesce_ratio: f64,
-        pub drain_cycles: u64,
-        /// Per-connection client-side latencies (µs), submission
-        /// order (empty for a throttled connection).
+        /// The artifact's row: the figures above and the rest of the
+        /// window's telemetry.
+        pub row: Json,
+        /// Per connection, in submission order (empty for a throttled
+        /// connection): client-side latencies (µs), response lines and
+        /// their digests. A latency runs from the later of the scheduled
+        /// send and the receipt that opened the window, so schedule slip
+        /// under overload is charged to the server.
         pub client_latencies: Vec<Vec<u64>>,
-        /// Per-connection response digests, submission order: the
-        /// reproducibility witness.
+        pub responses: Vec<Vec<String>>,
         pub digests: Vec<Vec<String>>,
     }
 
-    /// Per-run knobs beyond the offered rate (the fairness scenario
-    /// throttles one reader and bounds the outbound queues).
-    #[derive(Debug, Clone, Copy, Default)]
+    /// How a run's clients pace themselves and what they talk to.
+    #[derive(Debug, Clone, Copy)]
     pub(super) struct RunOpts {
+        /// Unanswered requests a connection may have in flight before
+        /// its writer waits for a response: `usize::MAX` is the open
+        /// loop, 1 the closed loop.
+        pub window: usize,
         /// Throttle this connection's reader to ~1 byte/ms; it stops
         /// digesting responses entirely (its responses are shed once
-        /// its outbound queue fills — the policy under test).
+        /// its outbound queue fills — the policy under test). Open
+        /// loop only: the throttled reader never opens a window.
         pub slow_conn: Option<usize>,
-        /// Override the rate-derived schedule horizon.
-        pub horizon_micros: Option<u64>,
-        /// Per-connection outbound queue bound (0 = unbounded). The
-        /// sweep runs unbounded — every client reads promptly, and an
-        /// unbounded queue keeps the zero-responses-lost contract
-        /// exact; the fairness scenario bounds it so the slow reader
-        /// actually triggers shedding.
-        pub outbound_depth: usize,
+        /// The server under test.
+        pub serve: ServeOptions,
+    }
+
+    impl RunOpts {
+        /// The open loop, outbound queues unbounded so the
+        /// zero-responses-lost contract stays exact.
+        fn open() -> Self {
+            RunOpts {
+                window: usize::MAX,
+                slow_conn: None,
+                serve: ServeOptions {
+                    outbound_depth: 0,
+                    ..ServeOptions::default()
+                },
+            }
+        }
     }
 
     fn horizon_micros_for(rate: f64) -> u64 {
@@ -446,32 +533,28 @@ mod sweep {
         base.min(capped).max(2_000)
     }
 
-    /// Pre-populates the cache: every warm-pool combination once, so
-    /// the measured window starts from the steady serving state (the
-    /// mix's fresh-seed queries still pay real engine passes mid-load).
-    fn warm_cache(service: &mut Service) {
-        let seeds = warm_seeds();
-        for (name, _, _) in corpus() {
-            for eps in EPSILONS {
-                let base = TesterConfig::new(eps).with_phases(PHASES as usize);
-                for s in 0..seeds {
-                    service.submit(Query::planarity(
-                        GraphRef::Name(name.to_string()),
-                        base.clone().with_seed(s),
-                    ));
-                }
-                for property in [Property::CycleFreeness, Property::Bipartiteness] {
-                    service.submit(Query {
-                        graph: GraphRef::Name(name.to_string()),
-                        property,
-                        cfg: base.clone().with_seed(0),
-                    });
-                }
-                for (_, result) in service.drain() {
-                    result.expect("warmup query");
-                }
-            }
+    /// A fresh service holding the corpus, cache empty.
+    fn corpus_service() -> Service {
+        let mut service = Service::new().with_group_threads(0);
+        for (name, spec_text, _) in corpus() {
+            service
+                .registry_mut()
+                .ingest_spec(name, &spec_text)
+                .expect("corpus spec");
         }
+        service
+    }
+
+    /// A corpus service with the warm pool cached, so a measured
+    /// window starts from the steady serving state (the mix's
+    /// fresh-seed queries still pay real engine passes mid-load).
+    fn warm_service() -> Service {
+        let mut service = corpus_service();
+        for group in warm_pool() {
+            let reply = protocol::handle_line(&mut service, &batch_line(&group));
+            digest(OpKind::Batch, &reply);
+        }
+        service
     }
 
     const PROPERTIES: [Property; 3] = [
@@ -506,11 +589,6 @@ mod sweep {
         merged
     }
 
-    /// All cells merged (the end-to-end distribution).
-    fn merged_latency(telemetry: &Telemetry, baseline: &[Histogram; 9]) -> Histogram {
-        merged_latency_where(telemetry, baseline, |_| true)
-    }
-
     /// Exact percentile over raw client-side samples.
     fn percentile(mut samples: Vec<u64>, q: f64) -> u64 {
         if samples.is_empty() {
@@ -519,6 +597,11 @@ mod sweep {
         samples.sort_unstable();
         let idx = ((samples.len() - 1) as f64 * q).round() as usize;
         samples[idx]
+    }
+
+    fn median(mut samples: Vec<f64>) -> f64 {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
     }
 
     fn cell_ids() -> Vec<(Property, CacheStatus)> {
@@ -545,9 +628,14 @@ mod sweep {
             .unwrap_or(0)
     }
 
-    /// Digest of one response line: the deterministic content only
-    /// (verdicts), never timing-dependent fields (cache status,
-    /// rounds under certificate replay, stats counters).
+    fn parse(line: &str) -> Value {
+        Value::parse(line.trim()).expect("response parses")
+    }
+
+    /// Digest of one response: the deterministic content only
+    /// (verdicts), never timing-dependent fields (cache status, rounds
+    /// under certificate replay, stats counters). Panics on a failed
+    /// response or batch member.
     fn digest(kind: OpKind, v: &Value) -> String {
         assert_eq!(
             v.get("ok").and_then(Value::as_bool),
@@ -561,54 +649,34 @@ mod sweep {
                 .expect("query verdict")
                 .to_string(),
             OpKind::Batch => {
-                let Some(Value::Arr(members)) = v.get("responses") else {
-                    panic!("batch response shape");
-                };
-                members
-                    .iter()
-                    .map(|m| {
-                        assert_eq!(m.get("ok").and_then(Value::as_bool), Some(true));
-                        m.get("verdict").and_then(Value::as_str).expect("verdict")
-                    })
-                    .collect::<Vec<_>>()
-                    .join("+")
+                let members = v.get("responses").and_then(Value::as_arr);
+                let members = members.expect("batch response shape").iter();
+                let digests: Vec<String> = members.map(|m| digest(OpKind::Query, m)).collect();
+                digests.join("+")
             }
             OpKind::Stats => "stats".to_string(),
             OpKind::Ingest => "ingest".to_string(),
         }
     }
 
-    /// Drives one rate point end to end against a fresh server.
-    pub(super) fn run_rate(rate: f64, socket_tag: usize, opts: RunOpts) -> RateOutcome {
-        let horizon = opts
-            .horizon_micros
-            .unwrap_or_else(|| horizon_micros_for(rate));
-        let workload = build_workload(LOAD_SEED ^ rate.to_bits(), rate, horizon);
-
-        let mut service = Service::new().with_group_threads(0);
-        for (name, spec_text, _) in corpus() {
-            service
-                .registry_mut()
-                .ingest_spec(name, &spec_text)
-                .expect("corpus spec");
-        }
-        warm_cache(&mut service);
+    /// Drives one workload end to end against a server over `service`.
+    pub(super) fn run(workload: &Workload, service: Service, opts: RunOpts) -> RunOutcome {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        assert!(
+            opts.slow_conn.is_none() || opts.window == usize::MAX,
+            "a throttled reader never opens a window"
+        );
         let telemetry = service.telemetry();
         let baseline = latency_baseline(&telemetry);
         let passes_before = service.engine_passes();
         let equeries_before = engine_queries(&telemetry);
         let cycles_before = telemetry.cycles();
 
-        let server = Server::start(
-            service,
-            ServeOptions {
-                outbound_depth: opts.outbound_depth,
-                ..ServeOptions::default()
-            },
-        );
+        let server = Server::start(service, opts.serve);
         let socket = std::env::temp_dir().join(format!(
-            "planartest-e15-{}-{socket_tag}.sock",
-            std::process::id()
+            "planartest-e15-{}-{}.sock",
+            std::process::id(),
+            RUNS.fetch_add(1, Ordering::Relaxed)
         ));
         server.listen_unix(&socket).expect("bind load socket");
 
@@ -622,104 +690,90 @@ mod sweep {
             .iter()
             .map(|_| UnixStream::connect(&socket).expect("connect load client"))
             .collect();
-        let stop_slow = AtomicBool::new(false);
+        let healthy_left = AtomicUsize::new(streams.len() - usize::from(opts.slow_conn.is_some()));
         let started = Instant::now();
-        type ClientResult = (Vec<String>, Vec<u64>, Instant);
-        let per_conn: Vec<ClientResult> = std::thread::scope(|scope| {
-            let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, ClientResult>>> =
-                Vec::new();
-            for (ci, arrivals) in workload.per_conn.iter().enumerate() {
-                // Open-loop writer: send at the scheduled instant,
-                // never waiting for responses; when behind schedule,
-                // send immediately (standard open-loop catch-up — the
-                // backlog is the server's problem, which is the
-                // point).
-                let mut wstream = streams[ci].try_clone().expect("clone stream");
-                scope.spawn(move || {
-                    for a in arrivals {
-                        let target = started + Duration::from_micros(a.at_micros);
-                        let now = Instant::now();
-                        if target > now {
-                            std::thread::sleep(target - now);
-                        }
-                        wstream
-                            .write_all(a.line.as_bytes())
-                            .expect("send load request");
-                    }
-                });
-                if opts.slow_conn == Some(ci) {
-                    // Pathological reader: ~1 byte/ms, never a full
-                    // response. Its outbound queue fills and sheds;
-                    // the fairness gate checks nobody else noticed.
-                    let mut rstream = streams[ci].try_clone().expect("clone stream");
-                    rstream
-                        .set_read_timeout(Some(Duration::from_millis(20)))
-                        .expect("set read timeout");
-                    let stop = &stop_slow;
-                    handles.push(Some(scope.spawn(move || {
-                        let mut byte = [0u8; 1];
-                        while !stop.load(Ordering::Relaxed) {
-                            match rstream.read(&mut byte) {
-                                Ok(0) => break,
-                                Ok(_) => std::thread::sleep(Duration::from_millis(1)),
-                                Err(e)
-                                    if e.kind() == std::io::ErrorKind::WouldBlock
-                                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                                Err(_) => break,
+        // Per connection: response lines, client-side latencies (µs),
+        // and the reader's finish instant.
+        let per_conn: Vec<(Vec<String>, Vec<u64>, Instant)> = std::thread::scope(|scope| {
+            let readers: Vec<_> = workload
+                .per_conn
+                .iter()
+                .enumerate()
+                .map(|(ci, arrivals)| {
+                    // The reader reports each receipt, which opens the
+                    // writer's window; the writer reports each due time.
+                    let (due_tx, due_rx) = mpsc::channel::<u64>();
+                    let (answered_tx, answered_rx) = mpsc::channel::<u64>();
+                    // When behind schedule, send immediately (open-loop
+                    // catch-up: the backlog is the server's problem).
+                    let mut wstream = streams[ci].try_clone().expect("clone stream");
+                    scope.spawn(move || {
+                        for (i, a) in arrivals.iter().enumerate() {
+                            let mut due = a.at_micros;
+                            if i >= opts.window {
+                                due =
+                                    due.max(answered_rx.recv().expect("reader reports responses"));
                             }
+                            let target = started + Duration::from_micros(due);
+                            let now = Instant::now();
+                            if target > now {
+                                std::thread::sleep(target - now);
+                            }
+                            let _ = due_tx.send(due);
+                            wstream
+                                .write_all(a.line.as_bytes())
+                                .expect("send load request");
                         }
-                        (Vec::new(), Vec::new(), Instant::now())
-                    })));
-                } else {
-                    let reader = BufReader::new(streams[ci].try_clone().expect("clone stream"));
-                    handles.push(Some(scope.spawn(move || {
-                        let mut reader = reader;
-                        let mut digests = Vec::with_capacity(arrivals.len());
+                    });
+                    let healthy_left = &healthy_left;
+                    if opts.slow_conn == Some(ci) {
+                        // Pathological reader: ~1 byte/ms, never a full
+                        // response, until every healthy client is done.
+                        // Its outbound queue fills and sheds; the
+                        // fairness gate checks nobody else noticed.
+                        let mut rstream = streams[ci].try_clone().expect("clone stream");
+                        rstream
+                            .set_read_timeout(Some(Duration::from_millis(20)))
+                            .expect("set read timeout");
+                        return scope.spawn(move || {
+                            let mut byte = [0u8; 1];
+                            while healthy_left.load(Ordering::Relaxed) > 0 {
+                                match rstream.read(&mut byte) {
+                                    Ok(0) => break,
+                                    Ok(_) => std::thread::sleep(Duration::from_millis(1)),
+                                    Err(e)
+                                        if e.kind() == std::io::ErrorKind::WouldBlock
+                                            || e.kind() == std::io::ErrorKind::TimedOut => {}
+                                    Err(_) => break,
+                                }
+                            }
+                            (Vec::new(), Vec::new(), Instant::now())
+                        });
+                    }
+                    let mut reader = BufReader::new(streams[ci].try_clone().expect("clone stream"));
+                    scope.spawn(move || {
+                        let mut lines = Vec::with_capacity(arrivals.len());
                         let mut latencies = Vec::with_capacity(arrivals.len());
-                        let mut line = String::new();
-                        for a in arrivals {
-                            line.clear();
+                        for _ in arrivals {
+                            let mut line = String::new();
                             let n = reader.read_line(&mut line).expect("read load response");
                             assert!(n > 0, "connection closed before all responses arrived");
-                            let recv =
+                            let at =
                                 u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                            latencies.push(recv.saturating_sub(a.at_micros));
-                            let v = Value::parse(line.trim()).expect("response parses");
-                            digests.push(digest(a.kind, &v));
+                            // The writer may be done; late reports go nowhere.
+                            let _ = answered_tx.send(at);
+                            let due = due_rx.recv().expect("writer reports due times");
+                            latencies.push(at.saturating_sub(due));
+                            lines.push(line);
                         }
-                        (digests, latencies, Instant::now())
-                    })));
-                }
-            }
-            // Healthy clients finish on their own; the throttled one
-            // is released only after they have, so it stays slow for
-            // the entire measured window.
-            let mut results: Vec<Option<ClientResult>> = (0..handles.len()).map(|_| None).collect();
-            for ci in 0..handles.len() {
-                if opts.slow_conn == Some(ci) {
-                    continue;
-                }
-                results[ci] = Some(
-                    handles[ci]
-                        .take()
-                        .expect("handle present")
-                        .join()
-                        .expect("load client"),
-                );
-            }
-            stop_slow.store(true, Ordering::Relaxed);
-            if let Some(ci) = opts.slow_conn {
-                results[ci] = Some(
-                    handles[ci]
-                        .take()
-                        .expect("handle present")
-                        .join()
-                        .expect("slow load client"),
-                );
-            }
-            results
+                        healthy_left.fetch_sub(1, Ordering::Relaxed);
+                        (lines, latencies, Instant::now())
+                    })
+                })
+                .collect();
+            readers
                 .into_iter()
-                .map(|r| r.expect("client joined"))
+                .map(|r| r.join().expect("load client"))
                 .collect()
         });
         let wall_secs = per_conn
@@ -733,45 +787,96 @@ mod sweep {
         let _ = std::fs::remove_file(&socket);
 
         let stats = service.stats();
-        let latency = merged_latency(&telemetry, &baseline);
+        let latency = merged_latency_where(&telemetry, &baseline, |_| true);
         let warm = merged_latency_where(&telemetry, &baseline, |s| s != CacheStatus::Cold);
         let passes = service.engine_passes() - passes_before;
         let equeries = engine_queries(&telemetry) - equeries_before;
-        let realized =
-            workload.requests as f64 / (workload.last_arrival_micros.max(1) as f64 / 1_000_000.0);
-        let client_latencies: Vec<Vec<u64>> = per_conn.iter().map(|(_, l, _)| l.clone()).collect();
-        RateOutcome {
-            offered_qps: rate,
-            realized_offered_qps: realized,
+        let digests = per_conn
+            .iter()
+            .zip(&workload.per_conn)
+            .map(|((lines, _, _), arrivals)| {
+                let kinds = arrivals.iter().map(|a| a.kind);
+                kinds
+                    .zip(lines)
+                    .map(|(k, l)| digest(k, &parse(l)))
+                    .collect()
+            })
+            .collect();
+        let achieved_qps = workload.requests as f64 / wall_secs.max(1e-9);
+        let coalesce_ratio = if passes == 0 {
+            1.0
+        } else {
+            equeries as f64 / passes as f64
+        };
+        let client = per_conn.iter().flat_map(|c| c.1.iter().copied()).collect();
+        let row = Json::obj()
+            .field("achieved_qps", achieved_qps)
+            .field("requests", workload.requests)
+            .field("queries", workload.queries)
+            .field("wall_seconds", wall_secs)
+            .field("p50_micros", latency.value_at_quantile(0.50))
+            .field("p99_micros", latency.value_at_quantile(0.99))
+            .field("p999_micros", latency.value_at_quantile(0.999))
+            .field("mean_micros", latency.mean())
+            .field("latency_count", latency.count())
+            .field("warm_p99_micros", warm.value_at_quantile(0.99))
+            .field("client_p99_micros", percentile(client, 0.99))
+            .field("queue_depth_hwm", stats.queue_depth_hwm)
+            .field("responses_lost", stats.responses_lost)
+            .field("responses_lost_shutdown", stats.responses_lost_shutdown)
+            .field("responses_shed", stats.responses_shed)
+            .field("outbound_depth_hwm", stats.outbound_depth_hwm)
+            .field("writer_stalls", stats.writer_stalls)
+            .field("engine_passes", passes)
+            .field("coalesce_ratio", coalesce_ratio)
+            .field("drain_cycles", telemetry.cycles() - cycles_before);
+        RunOutcome {
             requests: workload.requests,
-            queries: workload.queries,
-            achieved_qps: workload.requests as f64 / wall_secs.max(1e-9),
+            achieved_qps,
             wall_secs,
             p50_micros: latency.value_at_quantile(0.50),
             p99_micros: latency.value_at_quantile(0.99),
-            p999_micros: latency.value_at_quantile(0.999),
-            mean_micros: latency.mean(),
-            latency_count: latency.count(),
             warm_p99_micros: warm.value_at_quantile(0.99),
-            client_p99_micros: percentile(
-                client_latencies.iter().flatten().copied().collect(),
-                0.99,
-            ),
             queue_depth_hwm: stats.queue_depth_hwm,
             responses_lost: stats.responses_lost,
-            responses_lost_shutdown: stats.responses_lost_shutdown,
             responses_shed: stats.responses_shed,
-            outbound_depth_hwm: stats.outbound_depth_hwm,
-            writer_stalls: stats.writer_stalls,
             engine_passes: passes,
-            coalesce_ratio: if passes == 0 {
-                1.0
-            } else {
-                equeries as f64 / passes as f64
-            },
-            drain_cycles: telemetry.cycles() - cycles_before,
-            client_latencies,
-            digests: per_conn.into_iter().map(|(d, _, _)| d).collect(),
+            coalesce_ratio,
+            row,
+            client_latencies: per_conn.iter().map(|c| c.1.clone()).collect(),
+            digests,
+            responses: per_conn.into_iter().map(|c| c.0).collect(),
+        }
+    }
+
+    /// One closed-loop client sending `lines` to a default server over
+    /// `service`.
+    fn closed_loop(lines: Vec<String>, service: Service) -> RunOutcome {
+        let opts = RunOpts {
+            window: 1,
+            slow_conn: None,
+            serve: ServeOptions::default(),
+        };
+        run(&at_once(vec![lines]), service, opts)
+    }
+
+    /// One open-loop rate point and its offered rates.
+    pub(super) struct RatePoint {
+        pub offered_qps: f64,
+        pub realized_offered_qps: f64,
+        pub run: RunOutcome,
+    }
+
+    /// Drives one open-loop rate point end to end against a fresh,
+    /// warmed server.
+    fn run_rate(rate: f64, horizon_micros: Option<u64>, opts: RunOpts) -> RatePoint {
+        let horizon = horizon_micros.unwrap_or_else(|| horizon_micros_for(rate));
+        let workload = build_workload(LOAD_SEED ^ rate.to_bits(), rate, horizon);
+        RatePoint {
+            offered_qps: rate,
+            realized_offered_qps: workload.requests as f64
+                / (workload.last_arrival_micros.max(1) as f64 / 1_000_000.0),
+            run: run(&workload, warm_service(), opts),
         }
     }
 
@@ -795,20 +900,23 @@ mod sweep {
     pub(super) fn fairness_scenario() -> FairnessOutcome {
         let rate = if quick() { 1_600.0 } else { 2_000.0 };
         let opts = RunOpts {
-            slow_conn: None,
-            horizon_micros: Some(2_000_000),
-            outbound_depth: 256,
+            serve: ServeOptions {
+                outbound_depth: 256,
+                ..ServeOptions::default()
+            },
+            ..RunOpts::open()
         };
-        let healthy = run_rate(rate, 901, opts);
+        let healthy = run_rate(rate, Some(2_000_000), opts).run;
         let slowed = run_rate(
             rate,
-            902,
+            Some(2_000_000),
             RunOpts {
                 slow_conn: Some(0),
                 ..opts
             },
-        );
-        let healthy_conns = |o: &RateOutcome| -> Vec<u64> {
+        )
+        .run;
+        let healthy_conns = |o: &RunOutcome| -> Vec<u64> {
             o.client_latencies
                 .iter()
                 .skip(1)
@@ -826,35 +934,204 @@ mod sweep {
         }
     }
 
-    fn saturated(o: &RateOutcome) -> bool {
-        o.achieved_qps < KNEE_FRACTION * o.realized_offered_qps
+    /// Warm vs cold: one closed-loop client sends the warm pool and a
+    /// `stats` probe to a cold server, twice. Returns the JSON row and
+    /// cold p50 over warm p50 (client side).
+    fn warm_vs_cold() -> (Json, f64) {
+        let pass = [warm_pool().concat(), vec![STATS_LINE.to_string()]].concat();
+        let n = pass.len() - 1;
+        let o = closed_loop([pass.clone(), pass].concat(), corpus_service());
+        let answers: Vec<Value> = o.responses[0].iter().map(|l| parse(l)).collect();
+        let (cold, warm) = (&answers[..=n], &answers[n + 1..]);
+        for (i, (c, w)) in cold[..n].iter().zip(warm).enumerate() {
+            let same = w.get("verdict") == c.get("verdict");
+            assert!(same, "cache replay changed a verdict (query {i})");
+            let hit = w.get("cache").and_then(Value::as_str) != Some("cold");
+            assert!(hit, "warm pass hit the engine (query {i})");
+        }
+        let passes = |v: &Value| v.get("engine_passes").and_then(Value::as_u64);
+        assert_eq!(
+            passes(&warm[n]),
+            passes(&cold[n]),
+            "warm pass must be engine-free"
+        );
+        let latencies = &o.client_latencies[0];
+        let cold_p50 = percentile(latencies[..n].to_vec(), 0.5);
+        let warm_p50 = percentile(latencies[n + 1..2 * n + 1].to_vec(), 0.5);
+        let speedup = cold_p50 as f64 / warm_p50.max(1) as f64;
+        println!(
+            "warm vs cold  {n:>5} queries  cold p50 {cold_p50:>7}us  warm p50 {warm_p50:>5}us  \
+             speedup {speedup:.1}x"
+        );
+        let row = Json::obj()
+            .field("queries", n)
+            .field("cold_p50_micros", cold_p50)
+            .field("warm_p50_micros", warm_p50)
+            .field("engine_passes", o.engine_passes)
+            .field("speedup", speedup);
+        (row, speedup)
     }
 
-    fn rate_row(o: &RateOutcome) -> Json {
-        Json::obj()
-            .field("offered_qps", o.offered_qps)
-            .field("realized_offered_qps", o.realized_offered_qps)
-            .field("achieved_qps", o.achieved_qps)
-            .field("requests", o.requests)
-            .field("queries", o.queries)
-            .field("wall_seconds", o.wall_secs)
-            .field("p50_micros", o.p50_micros)
-            .field("p99_micros", o.p99_micros)
-            .field("p999_micros", o.p999_micros)
-            .field("mean_micros", o.mean_micros)
-            .field("latency_count", o.latency_count)
-            .field("warm_p99_micros", o.warm_p99_micros)
-            .field("client_p99_micros", o.client_p99_micros)
-            .field("queue_depth_hwm", o.queue_depth_hwm)
-            .field("responses_lost", o.responses_lost)
-            .field("responses_lost_shutdown", o.responses_lost_shutdown)
-            .field("responses_shed", o.responses_shed)
-            .field("outbound_depth_hwm", o.outbound_depth_hwm)
-            .field("writer_stalls", o.writer_stalls)
-            .field("engine_passes", o.engine_passes)
-            .field("coalesce_ratio", o.coalesce_ratio)
-            .field("drain_cycles", o.drain_cycles)
-            .field("saturated", saturated(o))
+    /// Per query answered, batch members included: the wire fields two
+    /// runs of the same queries must agree on.
+    fn essences(o: &RunOutcome) -> Vec<Vec<Option<Value>>> {
+        let answers: Vec<Value> = o.responses.iter().flatten().map(|l| parse(l)).collect();
+        let queries = answers.iter().flat_map(|a| match a.get("responses") {
+            Some(Value::Arr(members)) => members.clone(),
+            _ => vec![a.clone()],
+        });
+        let fields = ["verdict", "seed", "rounds", "messages", "words"];
+        queries
+            .filter(|q| q.get("verdict").is_some())
+            .map(|q| fields.iter().map(|k| q.get(k).cloned()).collect())
+            .collect()
+    }
+
+    /// The engine-pass count the `stats` probe ending connection 0
+    /// reported.
+    fn probed_passes(o: &RunOutcome) -> Option<u64> {
+        let probe = parse(o.responses[0].last()?);
+        probe.get("engine_passes").and_then(Value::as_u64)
+    }
+
+    /// Seeds in the coalescing fan-out.
+    const FANOUT: u64 = 16;
+
+    /// Coalesce and multi-client: one graph's `FANOUT`-seed sweep served
+    /// serially (closed loop), as one `batch` op, and by [`CONNECTIONS`]
+    /// clients sending at once into a cycle that fires at full depth,
+    /// each run ending with a `stats` probe. Returns the two coalesced
+    /// runs' rows and serial/coalesced wall ratios.
+    fn coalescing() -> [(Json, f64); 2] {
+        let lines: Vec<String> = (0..FANOUT)
+            .map(|seed| query_line("g0", "planarity", 0.2, seed))
+            .collect();
+        let stats = STATS_LINE.to_string();
+        let serial = closed_loop(
+            [&lines[..], std::slice::from_ref(&stats)].concat(),
+            corpus_service(),
+        );
+        assert_eq!(
+            probed_passes(&serial),
+            Some(FANOUT),
+            "serial queries pay one pass each"
+        );
+        let batch = closed_loop(vec![batch_line(&lines), stats.clone()], corpus_service());
+        // Client 0 may have all its queries in flight; its probe goes
+        // out once its first answer is back, i.e. after the one cycle.
+        let per_client = lines.len() / CONNECTIONS;
+        let mut clients: Vec<Vec<String>> =
+            lines.chunks(per_client).map(<[String]>::to_vec).collect();
+        clients[0].push(stats);
+        let fan_in = ServeOptions {
+            linger: Duration::from_secs(30),
+            wake_depth: lines.len(),
+            ..ServeOptions::default()
+        };
+        let multi = run(
+            &at_once(clients),
+            corpus_service(),
+            RunOpts {
+                window: per_client,
+                slow_conn: None,
+                serve: fan_in,
+            },
+        );
+        println!(
+            "coalesce      {FANOUT:>5} queries  serial {:.4}s  batch {:.4}s  {CONNECTIONS} clients {:.4}s",
+            serial.wall_secs, batch.wall_secs, multi.wall_secs
+        );
+        [(batch, "batch_op"), (multi, "multi_client")].map(|(o, workload)| {
+            assert_eq!(
+                probed_passes(&o),
+                Some(1),
+                "{workload} fan-out must ride one engine pass"
+            );
+            assert_eq!(
+                essences(&o),
+                essences(&serial),
+                "{workload} outcomes diverged from serial"
+            );
+            let speedup = serial.wall_secs / o.wall_secs;
+            let row = Json::obj()
+                .field("workload", workload)
+                .field("clients", o.responses.len())
+                .field("queries", FANOUT)
+                .field("serial_seconds", serial.wall_secs)
+                .field("coalesced_seconds", o.wall_secs)
+                .field("speedup_vs_serial", speedup);
+            (row, speedup)
+        })
+    }
+
+    /// Back-to-back (plain, traced) pairs in the trace-overhead scenario.
+    const TRACE_PAIRS: usize = 9;
+
+    /// Trace overhead: the warm pool replayed cold, closed loop, plain
+    /// and with the `--trace` LDJSON writer. A pair interleaves the two
+    /// replays group by group, each `(graph, epsilon)` group against a
+    /// fresh plain and a fresh traced server in alternating order, so
+    /// host load drift hits both sides alike; certificates never cross
+    /// groups, so the cache answers as in a whole-pool replay. The
+    /// gated ratio is the median of [`TRACE_PAIRS`] pair ratios after a
+    /// warm-up pair. The last pair's log stays as `BENCH_trace.ldjson`.
+    fn trace_overhead() -> (Json, f64) {
+        let trace_path = "BENCH_trace.ldjson";
+        let groups = warm_pool();
+        let replay = |group: &[String], log: Option<&std::fs::File>| {
+            let service = corpus_service();
+            if let Some(log) = log {
+                let log = log.try_clone().expect("share BENCH_trace.ldjson");
+                service
+                    .telemetry()
+                    .set_trace_writer(Box::new(std::io::BufWriter::new(log)));
+            }
+            closed_loop(group.to_vec(), service).wall_secs
+        };
+        let pair = |j: usize| {
+            let log = std::fs::File::create(trace_path).expect("create BENCH_trace.ldjson");
+            let (mut plain, mut traced) = (0.0, 0.0);
+            for (g, group) in groups.iter().enumerate() {
+                if (j + g).is_multiple_of(2) {
+                    plain += replay(group, None);
+                    traced += replay(group, Some(&log));
+                } else {
+                    traced += replay(group, Some(&log));
+                    plain += replay(group, None);
+                }
+            }
+            (plain, traced)
+        };
+        pair(0);
+        let pairs: Vec<(f64, f64)> = (1..=TRACE_PAIRS).map(pair).collect();
+        let ratio = median(pairs.iter().map(|(plain, traced)| plain / traced).collect());
+        let queries: usize = groups.iter().map(Vec::len).sum();
+        println!(
+            "trace         {queries:>5} queries  traced/plain throughput {ratio:.3} \
+             (median of {TRACE_PAIRS} pairs)"
+        );
+        let seconds = |side: fn(&(f64, f64)) -> f64| -> Vec<Json> {
+            pairs.iter().map(|p| Json::from(side(p))).collect()
+        };
+        let row = Json::obj()
+            .field("queries", queries)
+            .field("groups", groups.len())
+            .field("plain_seconds", seconds(|p| p.0))
+            .field("traced_seconds", seconds(|p| p.1))
+            .field("throughput_ratio", ratio)
+            .field("trace_path", trace_path);
+        (row, ratio)
+    }
+
+    fn saturated(o: &RatePoint) -> bool {
+        o.run.achieved_qps < KNEE_FRACTION * o.realized_offered_qps
+    }
+
+    fn rate_row(p: &RatePoint) -> Json {
+        (p.run.row.clone())
+            .field("offered_qps", p.offered_qps)
+            .field("realized_offered_qps", p.realized_offered_qps)
+            .field("saturated", saturated(p))
     }
 
     pub(super) fn document() -> (Json, LoadGate) {
@@ -869,21 +1146,21 @@ mod sweep {
         const MAX_ESCALATIONS: usize = 4;
         let initial_len = rates.len();
 
-        let mut outcomes: Vec<RateOutcome> = Vec::new();
+        let mut outcomes: Vec<RatePoint> = Vec::new();
         let mut knee_idx: Option<usize> = None;
         let mut i = 0;
         while i < rates.len() {
-            let o = run_rate(rates[i], i, RunOpts::default());
+            let o = run_rate(rates[i], None, RunOpts::open());
             println!(
                 "rate {:>9.0} q/s offered  {:>9.0} achieved  p50 {:>7}us  p99 {:>8}us  \
                  warm-p99 {:>7}us  hwm {:>5}  coalesce {:>5.1}x{}",
                 o.realized_offered_qps,
-                o.achieved_qps,
-                o.p50_micros,
-                o.p99_micros,
-                o.warm_p99_micros,
-                o.queue_depth_hwm,
-                o.coalesce_ratio,
+                o.run.achieved_qps,
+                o.run.p50_micros,
+                o.run.p99_micros,
+                o.run.warm_p99_micros,
+                o.run.queue_depth_hwm,
+                o.run.coalesce_ratio,
                 if saturated(&o) { "  << knee" } else { "" },
             );
             let is_knee = saturated(&o);
@@ -902,9 +1179,9 @@ mod sweep {
         // Reproducibility: the lowest rate again, same seed — the
         // schedule is identical by construction, and the response
         // digests (verdict content) must match bit for bit.
-        let rerun = run_rate(rates[0], rates.len() + 1, RunOpts::default());
+        let rerun = run_rate(rates[0], None, RunOpts::open()).run;
         let deterministic =
-            rerun.requests == outcomes[0].requests && rerun.digests == outcomes[0].digests;
+            rerun.requests == outcomes[0].run.requests && rerun.digests == outcomes[0].run.digests;
         println!(
             "determinism re-run at {:.0} q/s: {} ({} responses compared)",
             rates[0],
@@ -930,27 +1207,37 @@ mod sweep {
             .and_then(|k| k.checked_sub(1))
             .map(|k| &outcomes[k]);
         let responses_lost: u64 =
-            outcomes.iter().map(|o| o.responses_lost).sum::<u64>() + fairness.mid_flight_losses;
+            outcomes.iter().map(|o| o.run.responses_lost).sum::<u64>() + fairness.mid_flight_losses;
+
+        println!("\n## closed-loop scenarios (one request in flight per client)");
+        let (warm_row, warm_p50_speedup) = warm_vs_cold();
+        let [(batch_row, coalesced_speedup), (multi_row, multi_client_speedup)] = coalescing();
+        let (trace_row, trace_overhead) = trace_overhead();
+
         let gate = LoadGate {
             knee_detected: sub_knee.is_some(),
             knee_offered_qps: knee_idx.map_or(0.0, |k| outcomes[k].realized_offered_qps),
             sub_knee_offered_qps: sub_knee.map_or(0.0, |o| o.realized_offered_qps),
-            sub_knee_p99_micros: sub_knee.map_or(u64::MAX, |o| o.p99_micros),
-            warm_p99_micros: sub_knee.map_or(u64::MAX, |o| o.warm_p99_micros),
+            sub_knee_p99_micros: sub_knee.map_or(u64::MAX, |o| o.run.p99_micros),
+            warm_p99_micros: sub_knee.map_or(u64::MAX, |o| o.run.warm_p99_micros),
             deterministic,
             responses_lost,
             all_healthy_p99_micros: fairness.all_healthy_p99_micros,
             slow_reader_healthy_p99_micros: fairness.slow_reader_healthy_p99_micros,
+            warm_p50_speedup,
+            coalesced_speedup,
+            multi_client_speedup,
+            trace_overhead,
         };
         if let (Some(k), Some(s)) = (knee_idx, sub_knee) {
             println!(
                 "knee at {:.0} q/s offered (achieved {:.0}); highest healthy rate {:.0} q/s, \
                  p99 {}us (warm {}us)",
                 outcomes[k].realized_offered_qps,
-                outcomes[k].achieved_qps,
+                outcomes[k].run.achieved_qps,
                 s.realized_offered_qps,
-                s.p99_micros,
-                s.warm_p99_micros,
+                s.run.p99_micros,
+                s.run.warm_p99_micros,
             );
         }
 
@@ -964,7 +1251,7 @@ mod sweep {
             })
             .collect();
         let doc = Json::obj()
-            .field("schema", "planartest-bench/load/v2")
+            .field("schema", "planartest-bench/load/v3")
             .field("quick_mode", quick())
             .field("host", host_record())
             .field("seed", LOAD_SEED)
@@ -1015,6 +1302,14 @@ mod sweep {
                     .field("pass", gate.fairness_ok()),
             )
             .field(
+                "closed_loop",
+                Json::obj()
+                    .field("warm_vs_cold", warm_row)
+                    .field("coalesce", batch_row)
+                    .field("multi_client", multi_row)
+                    .field("trace_overhead", trace_row),
+            )
+            .field(
                 "gate",
                 Json::obj()
                     .field("knee_detected", gate.knee_detected)
@@ -1027,6 +1322,13 @@ mod sweep {
                     .field("deterministic", gate.deterministic)
                     .field("responses_lost", gate.responses_lost)
                     .field("fairness_pass", gate.fairness_ok())
+                    .field("warm_p50_speedup", gate.warm_p50_speedup)
+                    .field("warm_p50_speedup_floor", LoadGate::WARM_SPEEDUP_FLOOR)
+                    .field("coalesced_speedup", gate.coalesced_speedup)
+                    .field("multi_client_speedup", gate.multi_client_speedup)
+                    .field("coalesced_speedup_floor", LoadGate::COALESCED_SPEEDUP_FLOOR)
+                    .field("trace_overhead", gate.trace_overhead)
+                    .field("trace_overhead_floor", LoadGate::TRACE_OVERHEAD_FLOOR)
                     .field("pass", gate.pass()),
             );
         (doc, gate)
@@ -1048,7 +1350,7 @@ pub fn load_bench_document() -> (Json, LoadGate) {
     println!("load sweep skipped (no unix sockets on this platform)");
     (
         Json::obj()
-            .field("schema", "planartest-bench/load/v2")
+            .field("schema", "planartest-bench/load/v3")
             .field("skipped", true),
         LoadGate {
             knee_detected: true,
@@ -1060,6 +1362,10 @@ pub fn load_bench_document() -> (Json, LoadGate) {
             responses_lost: 0,
             all_healthy_p99_micros: 0,
             slow_reader_healthy_p99_micros: 0,
+            warm_p50_speedup: LoadGate::WARM_SPEEDUP_FLOOR,
+            coalesced_speedup: LoadGate::COALESCED_SPEEDUP_FLOOR,
+            multi_client_speedup: LoadGate::COALESCED_SPEEDUP_FLOOR,
+            trace_overhead: LoadGate::TRACE_OVERHEAD_FLOOR,
         },
     )
 }
@@ -1118,9 +1424,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gate_thresholds() {
-        let base = LoadGate {
+    /// Every bound exactly at its limit: the gate passes.
+    fn gate_at_limits() -> LoadGate {
+        LoadGate {
             knee_detected: true,
             knee_offered_qps: LoadGate::KNEE_FLOOR_QPS,
             sub_knee_offered_qps: 1000.0,
@@ -1131,7 +1437,16 @@ mod tests {
             all_healthy_p99_micros: 1_000,
             slow_reader_healthy_p99_micros: LoadGate::FAIRNESS_FACTOR * 1_000
                 + LoadGate::FAIRNESS_SLACK_MICROS,
-        };
+            warm_p50_speedup: LoadGate::WARM_SPEEDUP_FLOOR,
+            coalesced_speedup: LoadGate::COALESCED_SPEEDUP_FLOOR,
+            multi_client_speedup: LoadGate::COALESCED_SPEEDUP_FLOOR,
+            trace_overhead: LoadGate::TRACE_OVERHEAD_FLOOR,
+        }
+    }
+
+    #[test]
+    fn gate_thresholds() {
+        let base = gate_at_limits();
         assert!(base.pass(), "every bound exactly at its limit passes");
         assert!(!LoadGate {
             knee_detected: false,
@@ -1168,6 +1483,64 @@ mod tests {
             ..base
         }
         .pass());
+    }
+
+    #[test]
+    fn closed_loop_gate_thresholds() {
+        let base = gate_at_limits();
+        assert_eq!(
+            (
+                LoadGate::WARM_SPEEDUP_FLOOR,
+                LoadGate::COALESCED_SPEEDUP_FLOOR,
+                LoadGate::TRACE_OVERHEAD_FLOOR
+            ),
+            (10.0, 1.0, 0.95)
+        );
+        assert!(base.pass(), "every bound exactly at its limit passes");
+        assert!(!LoadGate {
+            warm_p50_speedup: 9.99,
+            ..base
+        }
+        .pass());
+        assert!(!LoadGate {
+            coalesced_speedup: 0.99,
+            ..base
+        }
+        .pass());
+        assert!(!LoadGate {
+            multi_client_speedup: 0.99,
+            ..base
+        }
+        .pass());
+        assert!(!LoadGate {
+            trace_overhead: 0.949,
+            ..base
+        }
+        .pass());
+    }
+
+    #[test]
+    fn closed_loop_workload_replays_the_warm_pool() {
+        use planartest_service::wire::Value;
+        let pool = warm_pool();
+        let names: Vec<&str> = corpus().iter().map(|(name, _, _)| *name).collect();
+        let w = at_once(vec![
+            pool.concat(),
+            vec![batch_line(&pool[0]), STATS_LINE.into()],
+        ]);
+        assert_eq!(w.requests, pool.iter().map(Vec::len).sum::<usize>() + 2);
+        assert_eq!(w.queries, w.requests - 2 + pool[0].len());
+        assert_eq!(w.last_arrival_micros, 0);
+        for a in w.per_conn.iter().flatten() {
+            assert_eq!(a.at_micros, 0);
+            let v = Value::parse(a.line.trim_end()).expect("wire line is JSON");
+            if a.kind == OpKind::Query {
+                let graph = v.get("graph").and_then(Value::as_str).expect("graph");
+                assert!(names.contains(&graph), "{graph} is a corpus graph");
+            }
+        }
+        let kinds: Vec<OpKind> = w.per_conn[1].iter().map(|a| a.kind).collect();
+        assert_eq!(kinds, [OpKind::Batch, OpKind::Stats]);
     }
 
     #[test]

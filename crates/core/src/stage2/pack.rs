@@ -19,12 +19,11 @@
 //! * **scalar** (`*_scalar`): the historical one-digit-at-a-time
 //!   shift/or loops, kept as the executable reference.
 //!
-//! Both paths are always compiled; the default dispatch (in
-//! `labels.rs`) picks SWAR and the `scalar-kernels` feature flips it to
-//! the reference so CI can run the whole suite against either. The
-//! `swar_matches_scalar_*` proptests below pin the equivalence for all
-//! three width classes, including ragged tails that don't fill a word
-//! or a pair.
+//! The label codec (`labels.rs`) runs the SWAR path; the scalar one is
+//! the reference for the `swar_matches_scalar_*` proptests below, which
+//! pin the equivalence for all three width classes (including ragged
+//! tails that don't fill a word or a pair), and for the kernel rows of
+//! `runtime_bench`.
 
 /// Digit geometry of one width class: `(class_tag, bits_per_digit,
 /// digits_per_word)`.
@@ -42,6 +41,7 @@ pub fn width_class_swar(digits: &[u32]) -> WidthClass {
 
 /// Scalar reference for [`width_class_swar`]: selects from the maximum
 /// digit, the definitionally obvious rule.
+#[doc(hidden)]
 #[must_use]
 pub fn width_class_scalar(digits: &[u32]) -> WidthClass {
     class_for(digits.iter().copied().max().unwrap_or(0))
@@ -110,6 +110,7 @@ pub fn pack_swar(digits: &[u32], bits: u32, per: usize, out: &mut Vec<u64>) {
 
 /// Scalar reference for [`pack_swar`]: the historical one-shift-or per
 /// digit loop.
+#[doc(hidden)]
 pub fn pack_scalar(digits: &[u32], bits: u32, per: usize, out: &mut Vec<u64>) {
     for chunk in digits.chunks(per) {
         let mut word = 0u64;
@@ -183,6 +184,7 @@ pub fn unpack_swar(words: &[u64], len: usize, bits: u32, per: usize, digits: &mu
 
 /// Scalar reference for [`unpack_swar`]: the historical one-shift-mask
 /// per digit loop.
+#[doc(hidden)]
 pub fn unpack_scalar(words: &[u64], len: usize, bits: u32, per: usize, digits: &mut Vec<u32>) {
     let mask = if bits == 32 {
         u64::from(u32::MAX)

@@ -967,6 +967,20 @@ mod tests {
     }
 
     #[test]
+    fn histogram_percentiles_track_exact_ranks() {
+        // Group-0 values (< 16) are bucket-exact; larger values may
+        // round up by at most one bucket width (value/16 + 1).
+        let mut h = Histogram::new();
+        for v in [1u64, 2, 3, 4, 100] {
+            h.record(v);
+        }
+        assert_eq!(h.value_at_quantile(0.0), 1);
+        assert_eq!(h.value_at_quantile(0.5), 3);
+        let p100 = h.value_at_quantile(1.0);
+        assert!((100..=100 + 100 / 16 + 1).contains(&p100));
+    }
+
+    #[test]
     fn quantiles_never_under_report() {
         let mut h = Histogram::new();
         let values: Vec<u64> = (0..1000u64).map(|i| i * i).collect();

@@ -15,10 +15,12 @@
 //!   counts.
 //! * `overlap_stress_preserves_per_connection_order` fires everything
 //!   back-to-back at `wake_depth 1` so arrivals land mid-pass and ride
-//!   the overlap resolver; the cycle partition is then timing-
-//!   dependent, so it checks the partition-*invariant* contract: every
-//!   submission answered once, in submission order, with the
-//!   deterministic verdict and its own seed echoed.
+//!   the overlap resolver, and shuts down only after every response
+//!   landed; the cycle partition is then timing-dependent, so it
+//!   checks the partition-*invariant* contract: every submission
+//!   answered once, in submission order, with the deterministic verdict
+//!   and its own seed echoed. It prints the `pipeline` wake count (how
+//!   many cycles the overlap window fed) without asserting on it.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -469,8 +471,18 @@ proptest! {
             };
             queue.push(Submission::new(ids[*conn], Ok(request)));
         }
+        // Shut down only once every response has landed: shutdown ends
+        // the overlap window early, and the arrivals above must get the
+        // chance to ride it.
+        let counts: Vec<usize> = expected.iter().map(Vec::len).collect();
+        wait_for_lines(&sinks, &counts);
         server.request_shutdown();
-        let _ = server.join();
+        let service = server.join();
+        eprintln!(
+            "overlap stress: {} submissions, {} pipeline wakes",
+            counts.iter().sum::<usize>(),
+            service.telemetry().wake_counts()[4]
+        );
 
         for c in 0..conns {
             let got = sinks[c].responses();

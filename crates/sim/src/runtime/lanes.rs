@@ -2,20 +2,16 @@
 //!
 //! [`LaneBits`] stores one flag **bit** per node and implements the bulk
 //! operations as explicit u64 SWAR (SIMD-within-a-register): a
-//! word-at-a-time clear touches 64 flags per store, and the quiescence
-//! scan is a branch-free OR-reduction over the words.
+//! quiescence scan is a branch-free OR-reduction over the words.
 //!
-//! Both the SWAR kernels and a portable per-bit scalar reference are
-//! always compiled (`*_words` / `*_scalar`); the default dispatch picks
-//! the SWAR path, and the `scalar-kernels` feature flips every dispatch
-//! to the reference implementation so the whole test suite can run
-//! against it (CI exercises both). The two paths are proven equivalent
-//! by the `kernel_equivalence` proptests.
+//! The scan's portable per-bit reference (`any_set_scalar`) is compiled
+//! alongside it for the equivalence test below and the kernel row of
+//! `runtime_bench`; the engine only ever calls the SWAR path.
 
 /// A fixed-length bitset over lane ids (one bit per lane).
 ///
 /// Replaces the historical `Vec<bool>` wake flags: 8× denser, and the
-/// bulk clear/scan operations work a word (64 lanes) at a time.
+/// quiescence scan works a word (64 lanes) at a time.
 #[derive(Debug, Clone)]
 pub struct LaneBits {
     words: Vec<u64>,
@@ -66,45 +62,11 @@ impl LaneBits {
         self.words[i >> 6] &= !(1 << (i & 63));
     }
 
-    /// Clears every flag — dispatched to the SWAR word-fill unless the
-    /// `scalar-kernels` feature selects the per-bit reference.
-    #[inline]
-    pub fn clear_all(&mut self) {
-        #[cfg(not(feature = "scalar-kernels"))]
-        self.clear_all_words();
-        #[cfg(feature = "scalar-kernels")]
-        self.clear_all_scalar();
-    }
-
-    /// Whether any flag is set — dispatched to the branch-free SWAR
-    /// OR-reduction unless the `scalar-kernels` feature selects the
-    /// per-bit reference.
+    /// Whether any flag is set (the SWAR OR-reduction).
     #[inline]
     #[must_use]
     pub fn any_set(&self) -> bool {
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            self.any_set_words()
-        }
-        #[cfg(feature = "scalar-kernels")]
-        {
-            self.any_set_scalar()
-        }
-    }
-
-    /// SWAR bulk clear: one store zeroes 64 lanes.
-    #[doc(hidden)]
-    pub fn clear_all_words(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Scalar reference for [`clear_all`](LaneBits::clear_all): clears
-    /// each lane individually.
-    #[doc(hidden)]
-    pub fn clear_all_scalar(&mut self) {
-        for i in 0..self.len {
-            self.clear(i);
-        }
+        self.any_set_words()
     }
 
     /// Branch-free SWAR scan: OR every word, compare once at the end.
@@ -142,7 +104,9 @@ mod tests {
         bits.clear(64);
         assert!(!bits.get(64));
         assert!(bits.get(63) && bits.get(129));
-        bits.clear_all();
+        for i in [0, 63, 129] {
+            bits.clear(i);
+        }
         assert!(!bits.any_set());
         assert!(LaneBits::new(0).is_empty());
     }
@@ -164,10 +128,12 @@ mod tests {
                 }
             }
             assert_eq!(a.any_set_words(), b.any_set_scalar(), "len={len}");
-            a.clear_all_words();
-            b.clear_all_scalar();
+            // Clear from the front: the scan must see the last set lane
+            // wherever it sits, on both paths.
             for i in 0..len {
-                assert_eq!(a.get(i), b.get(i), "len={len} lane={i}");
+                a.clear(i);
+                b.clear(i);
+                assert_eq!(a.any_set_words(), b.any_set_scalar(), "len={len} lane={i}");
             }
             assert!(!a.any_set_words() && !b.any_set_scalar());
         }
