@@ -9,9 +9,9 @@
 //!
 //! Three benchmarks double as CI performance gates, each writing a
 //! machine-readable artifact: [`runtime_bench`] (`BENCH_runtime.json`,
-//! engine/tester/batching/kernel speedups), [`persist_bench`]
-//! (`BENCH_persist.json`, certificate-replay speedup, out-of-core
-//! streaming ingest and mapped-vs-resident tier parity) and
+//! engine throughput, tester wall-clock, trial and batching speedups),
+//! [`persist_bench`] (`BENCH_persist.json`, certificate-replay speedup,
+//! out-of-core streaming ingest and mapped-vs-resident tier parity) and
 //! [`load_bench`] (`BENCH_load.json`, the socket server under open-loop
 //! load and in the closed-loop cache, coalescing and tracing
 //! scenarios). Their `--check` binaries fail the build on regression.

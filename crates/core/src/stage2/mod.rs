@@ -19,8 +19,6 @@
 //!    Definition 7 violations and rejects on any hit.
 
 pub mod labels;
-#[doc(hidden)]
-pub mod pack;
 mod protocols;
 
 use std::collections::HashMap;

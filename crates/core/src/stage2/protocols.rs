@@ -1,36 +1,27 @@
 //! Message-level protocols specific to Stage II: pipelined label
 //! distribution down BFS trees and label exchange across non-tree edges.
 //!
-//! Both protocols are **batch-native**: the `_batch` entry points drive
-//! any number of independent instances (each with its own tree /
-//! digit assignment / edge assignment) through [`Engine::run_batch`],
-//! returning per-instance results and
-//! [`RunReport`]s that are bit-for-bit identical to running the
-//! instances sequentially. The single-instance wrappers are batches of
-//! one — every tester run exercises the batch path.
+//! Labels do not depend on the tester's seed, so a batched pass over
+//! many seeds runs each protocol once, as one [`Engine::run`], and
+//! credits the cost to every seed. The seed-dependent sample streams
+//! stay batched (`comm::up_stream_batch` and
+//! `comm::stream_broadcast_batch`).
 
 use std::collections::HashMap;
 
 use planartest_graph::{EdgeId, Graph, NodeId};
 use planartest_sim::tree::TreeTopology;
 use planartest_sim::Engine;
-use planartest_sim::{Msg, NodeLogic, Outbox, RunReport, SimError};
+use planartest_sim::{Msg, NodeLogic, Outbox, SimError};
 
-use crate::stage2::labels::Label;
+use crate::stage2::labels::{pack_label, unpack_label, Label};
 
 const TAG_DIGIT: u64 = 0;
 const TAG_END: u64 = 1;
 
-/// One label-distribution instance: a rooted forest plus each node's
-/// child-digit assignment (`digit_of[parent][child] = digit`).
-pub(crate) struct LabelSpec<'t> {
-    pub tree: &'t TreeTopology,
-    pub digit_of: &'t [HashMap<u32, u32>],
-}
-
-/// The per-instance logic behind [`distribute_labels_batch`]: each
-/// node's label is its parent's label plus its own child digit, fully
-/// pipelined in `O(depth + max label length)` rounds.
+/// The logic behind [`distribute_labels`]: each node's label is its
+/// parent's label plus its own child digit, fully pipelined in
+/// `O(depth + max label length)` rounds.
 struct LabelLogic<'t> {
     tree: &'t TreeTopology,
     digit_of: &'t [HashMap<u32, u32>],
@@ -91,54 +82,27 @@ impl NodeLogic for LabelLogic<'_> {
     }
 }
 
-/// Distributes vertex labels down every part tree for each instance of
-/// the batch. Returns per instance the node labels and the
-/// instance's own [`RunReport`].
-pub(crate) fn distribute_labels_batch(
-    engine: &mut Engine<'_>,
-    specs: &[LabelSpec<'_>],
-    max_rounds: u64,
-) -> Result<Vec<(Vec<Label>, RunReport)>, SimError> {
-    let n = engine.graph().n();
-    let mut logics: Vec<LabelLogic<'_>> = specs
-        .iter()
-        .map(|s| LabelLogic {
-            tree: s.tree,
-            digit_of: s.digit_of,
-            label: vec![Vec::new(); n],
-            end_pending: vec![false; n],
-        })
-        .collect();
-    let results = engine.run_batch(&mut logics, max_rounds);
-    results
-        .into_iter()
-        .zip(logics)
-        .map(|(result, logic)| {
-            result.map(|report| (logic.label.into_iter().map(Label).collect(), report))
-        })
-        .collect()
-}
-
-/// Single-instance [`distribute_labels_batch`] (a batch of one).
+/// Distributes vertex labels down every part tree: `digit_of[parent]`
+/// maps each child to its digit. Returns every node's label.
 pub(crate) fn distribute_labels(
     engine: &mut Engine<'_>,
     tree: &TreeTopology,
     digit_of: &[HashMap<u32, u32>],
     max_rounds: u64,
 ) -> Result<Vec<Label>, SimError> {
-    let mut out = distribute_labels_batch(engine, &[LabelSpec { tree, digit_of }], max_rounds)?;
-    Ok(out.pop().expect("one instance").0)
+    let n = engine.graph().n();
+    let mut logic = LabelLogic {
+        tree,
+        digit_of,
+        label: vec![Vec::new(); n],
+        end_pending: vec![false; n],
+    };
+    engine.run(&mut logic, max_rounds)?;
+    Ok(logic.label.into_iter().map(Label).collect())
 }
 
-/// One label-exchange instance: the non-tree edges assigned to each
-/// node plus every node's label.
-pub(crate) struct ExchangeSpec<'t> {
-    pub assigned: &'t [Vec<EdgeId>],
-    pub node_labels: &'t [Label],
-}
-
-/// The per-instance logic behind [`exchange_edge_labels_batch`]:
-/// streams framed label words over bandwidth-sized chunks.
+/// The logic behind [`exchange_edge_labels`]: streams framed label
+/// words over bandwidth-sized chunks.
 struct StreamLogic {
     /// Per node: remaining (target, words) channels.
     sendq: Vec<Vec<(NodeId, Vec<u64>)>>,
@@ -189,74 +153,9 @@ impl NodeLogic for StreamLogic {
     }
 }
 
-/// One instance's result in an [`exchange_edge_labels_batch`]: the
-/// other-endpoint label digits per node (in `assigned[node]` order),
-/// plus the instance's own [`RunReport`].
-pub(crate) type ExchangeLane = (Vec<Vec<Vec<u32>>>, RunReport);
-
-/// Streams, for every assigned non-tree edge of every instance, the
-/// non-owner endpoint's label to the owner, for every instance.
-/// Returns, per instance, the other-endpoint label words per node (in
-/// `assigned[node]` order) and the instance's own [`RunReport`].
-pub(crate) fn exchange_edge_labels_batch(
-    engine: &mut Engine<'_>,
-    g: &Graph,
-    specs: &[ExchangeSpec<'_>],
-    max_rounds: u64,
-) -> Result<Vec<ExchangeLane>, SimError> {
-    let n = g.n();
-    let chunk = engine.config().max_words_per_message;
-    let mut logics: Vec<StreamLogic> = specs
-        .iter()
-        .map(|spec| {
-            // Channels: (sender w, receiver v=owner, framed words of w's
-            // label).
-            let mut outgoing: Vec<Vec<(NodeId, Vec<u64>)>> = vec![Vec::new(); n];
-            for (v, edges) in spec.assigned.iter().enumerate() {
-                for &e in edges {
-                    let w = g.other_endpoint(e, NodeId::new(v));
-                    // Digits packed several to a word (`pack_label`)
-                    // rather than one per word: same O(log n)-bit
-                    // messages, a fraction of the message count.
-                    let mut words = Vec::new();
-                    crate::stage2::labels::pack_label(&spec.node_labels[w.index()].0, &mut words);
-                    outgoing[w.index()].push((NodeId::new(v), words));
-                }
-            }
-            StreamLogic {
-                sendq: outgoing,
-                cursor: vec![0; n],
-                chunk,
-                received: vec![HashMap::new(); n],
-            }
-        })
-        .collect();
-    let results = engine.run_batch(&mut logics, max_rounds);
-    results
-        .into_iter()
-        .zip(logics)
-        .zip(specs)
-        .map(|((result, logic), spec)| {
-            result.map(|report| {
-                let mut out = vec![Vec::new(); n];
-                for (v, edges) in spec.assigned.iter().enumerate() {
-                    for &e in edges {
-                        let w = g.other_endpoint(e, NodeId::new(v));
-                        let words = logic.received[v]
-                            .get(&w.raw())
-                            .unwrap_or_else(|| panic!("missing label stream {w:?} -> n{v}"));
-                        let (digits, used) = crate::stage2::labels::unpack_label(words);
-                        assert_eq!(words.len(), used, "label stream framing corrupted");
-                        out[v].push(digits);
-                    }
-                }
-                (out, report)
-            })
-        })
-        .collect()
-}
-
-/// Single-instance [`exchange_edge_labels_batch`] (a batch of one).
+/// Streams, for every assigned non-tree edge, the non-owner endpoint's
+/// label to the owner. Returns the other-endpoint label digits per node,
+/// in `assigned[node]` order.
 pub(crate) fn exchange_edge_labels(
     engine: &mut Engine<'_>,
     g: &Graph,
@@ -264,16 +163,40 @@ pub(crate) fn exchange_edge_labels(
     node_labels: &[Label],
     max_rounds: u64,
 ) -> Result<Vec<Vec<Vec<u32>>>, SimError> {
-    let mut out = exchange_edge_labels_batch(
-        engine,
-        g,
-        &[ExchangeSpec {
-            assigned,
-            node_labels,
-        }],
-        max_rounds,
-    )?;
-    Ok(out.pop().expect("one instance").0)
+    let n = g.n();
+    // Channels: (sender w, receiver v=owner, framed words of w's label).
+    let mut sendq: Vec<Vec<(NodeId, Vec<u64>)>> = vec![Vec::new(); n];
+    for (v, edges) in assigned.iter().enumerate() {
+        for &e in edges {
+            let w = g.other_endpoint(e, NodeId::new(v));
+            // Digits packed several to a word (`pack_label`) rather than
+            // one per word: same O(log n)-bit messages, a fraction of the
+            // message count.
+            let mut words = Vec::new();
+            pack_label(&node_labels[w.index()].0, &mut words);
+            sendq[w.index()].push((NodeId::new(v), words));
+        }
+    }
+    let mut logic = StreamLogic {
+        sendq,
+        cursor: vec![0; n],
+        chunk: engine.config().max_words_per_message,
+        received: vec![HashMap::new(); n],
+    };
+    engine.run(&mut logic, max_rounds)?;
+    let mut out = vec![Vec::new(); n];
+    for (v, edges) in assigned.iter().enumerate() {
+        for &e in edges {
+            let w = g.other_endpoint(e, NodeId::new(v));
+            let words = logic.received[v]
+                .get(&w.raw())
+                .unwrap_or_else(|| panic!("missing label stream {w:?} -> n{v}"));
+            let (digits, used) = unpack_label(words);
+            assert_eq!(words.len(), used, "label stream framing corrupted");
+            out[v].push(digits);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -336,75 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_label_instances_match_sequential_runs() {
-        // Two instances over the same graph with different trees and
-        // digit assignments: the batch must reproduce each sequential
-        // run bit for bit.
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let tree_a = TreeTopology::from_parents(
-            &g,
-            vec![
-                None,
-                Some(NodeId::new(0)),
-                Some(NodeId::new(1)),
-                Some(NodeId::new(0)),
-            ],
-        )
-        .unwrap();
-        let tree_b = TreeTopology::from_parents(
-            &g,
-            vec![
-                Some(NodeId::new(1)),
-                Some(NodeId::new(2)),
-                None,
-                Some(NodeId::new(2)),
-            ],
-        )
-        .unwrap();
-        let digits = |pairs: &[(usize, usize, u32)]| {
-            let mut d: Vec<HashMap<u32, u32>> = vec![HashMap::new(); 4];
-            for &(p, c, digit) in pairs {
-                d[p].insert(c as u32, digit);
-            }
-            d
-        };
-        let digit_a = digits(&[(0, 1, 1), (0, 3, 2), (1, 2, 1)]);
-        let digit_b = digits(&[(2, 1, 2), (2, 3, 1), (1, 0, 1)]);
-
-        let mut seq = Vec::new();
-        for (tree, digit_of) in [(&tree_a, &digit_a), (&tree_b, &digit_b)] {
-            let mut engine = Engine::new(&g, SimConfig::default());
-            let labels = distribute_labels(&mut engine, tree, digit_of, 1000).unwrap();
-            seq.push((labels, *engine.stats()));
-        }
-
-        let mut engine = Engine::new(&g, SimConfig::default());
-        let batched = distribute_labels_batch(
-            &mut engine,
-            &[
-                LabelSpec {
-                    tree: &tree_a,
-                    digit_of: &digit_a,
-                },
-                LabelSpec {
-                    tree: &tree_b,
-                    digit_of: &digit_b,
-                },
-            ],
-            1000,
-        )
-        .unwrap();
-        for ((labels, report), (want_labels, want_stats)) in batched.iter().zip(&seq) {
-            assert_eq!(labels, want_labels);
-            assert_eq!(report.rounds, want_stats.rounds);
-            assert_eq!(report.messages, want_stats.messages);
-            assert_eq!(report.words, want_stats.words);
-        }
-        // The engine absorbed both instances as separate runs.
-        assert_eq!(engine.stats().runs, 2);
-    }
-
-    #[test]
     fn edge_label_exchange_roundtrip() {
         // Cycle 0-1-2-3: BFS tree from 0 misses one edge; owner gets the
         // other side's label.
@@ -421,49 +275,5 @@ mod tests {
         let mut engine = Engine::new(&g, SimConfig::default());
         let got = exchange_edge_labels(&mut engine, &g, &assigned, &labels, 1000).unwrap();
         assert_eq!(got[2], vec![vec![2u32]]);
-    }
-
-    #[test]
-    fn batched_exchange_instances_stay_independent() {
-        // Same cycle, two instances assigning *different* non-tree edges
-        // with different labels: each lane must see only its own data.
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let labels_a = vec![
-            Label(vec![]),
-            Label(vec![1]),
-            Label(vec![1, 1]),
-            Label(vec![2]),
-        ];
-        let labels_b = vec![
-            Label(vec![9]),
-            Label(vec![]),
-            Label(vec![3]),
-            Label(vec![3, 1]),
-        ];
-        let e23 = g.edge_between(NodeId::new(2), NodeId::new(3)).unwrap();
-        let e01 = g.edge_between(NodeId::new(0), NodeId::new(1)).unwrap();
-        let mut assigned_a: Vec<Vec<EdgeId>> = vec![Vec::new(); 4];
-        assigned_a[2].push(e23);
-        let mut assigned_b: Vec<Vec<EdgeId>> = vec![Vec::new(); 4];
-        assigned_b[1].push(e01);
-        let mut engine = Engine::new(&g, SimConfig::default());
-        let got = exchange_edge_labels_batch(
-            &mut engine,
-            &g,
-            &[
-                ExchangeSpec {
-                    assigned: &assigned_a,
-                    node_labels: &labels_a,
-                },
-                ExchangeSpec {
-                    assigned: &assigned_b,
-                    node_labels: &labels_b,
-                },
-            ],
-            1000,
-        )
-        .unwrap();
-        assert_eq!(got[0].0[2], vec![vec![2u32]]);
-        assert_eq!(got[1].0[1], vec![vec![9u32]]);
     }
 }

@@ -1,9 +1,9 @@
 //! Biconnected components (blocks) via Tarjan's lowpoint algorithm.
 //!
-//! The Demoucron embedder that `planartest-embed` keeps as a test oracle
-//! embeds each block separately and stitches rotations at cut vertices.
+//! The Demoucron oracle embeds each block separately and stitches
+//! rotations at cut vertices.
 
-use crate::{EdgeId, Graph, NodeId};
+use planartest_graph::{EdgeId, Graph, NodeId};
 
 /// Partition of the edges of a graph into biconnected components (blocks).
 #[derive(Debug, Clone)]

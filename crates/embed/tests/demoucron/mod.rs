@@ -13,12 +13,15 @@
 //! Complexity is `O(n·m)`-ish: quadratic, but independent of the
 //! left-right machinery and easy to audit, which is what an oracle needs.
 
+mod blocks;
+
 use std::collections::HashMap;
 
-use planartest_graph::algo::biconnected::Blocks;
 use planartest_graph::{EdgeId, Graph, NodeId};
 
 use planartest_embed::RotationSystem;
+
+use self::blocks::Blocks;
 
 /// Embeds `g` with Demoucron's algorithm: a verified planar rotation, or
 /// `None` if `g` is not planar.

@@ -6,7 +6,6 @@
 
 pub mod arboricity;
 pub mod bfs;
-pub mod biconnected;
 pub mod bipartite;
 pub mod components;
 pub mod dfs;

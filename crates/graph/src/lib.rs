@@ -11,7 +11,7 @@
 //!   of them *certified*: planar families carry a proof-by-construction of
 //!   planarity, non-planar families carry a lower bound on their distance
 //!   to planarity (see [`generators::Certified`]).
-//! * [`algo`] — BFS/DFS, connected & biconnected components, union-find,
+//! * [`algo`] — BFS/DFS, connected components, union-find,
 //!   bipartiteness, girth, degeneracy/arboricity bounds.
 //! * [`fingerprint`] — stable 128-bit content digests
 //!   ([`Graph::fingerprint`]) keying the query service's graph registry

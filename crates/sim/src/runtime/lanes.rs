@@ -1,12 +1,7 @@
-//! SWAR lane bitsets: the wake-dedup flags of the engine's round loop.
+//! Lane bitsets: the wake-dedup flags of the engine's round loop.
 //!
-//! [`LaneBits`] stores one flag **bit** per node and implements the bulk
-//! operations as explicit u64 SWAR (SIMD-within-a-register): a
-//! quiescence scan is a branch-free OR-reduction over the words.
-//!
-//! The scan's portable per-bit reference (`any_set_scalar`) is compiled
-//! alongside it for the equivalence test below and the kernel row of
-//! `runtime_bench`; the engine only ever calls the SWAR path.
+//! [`LaneBits`] stores one flag **bit** per node; the quiescence scan is
+//! an OR over the words.
 
 /// A fixed-length bitset over lane ids (one bit per lane).
 ///
@@ -62,26 +57,11 @@ impl LaneBits {
         self.words[i >> 6] &= !(1 << (i & 63));
     }
 
-    /// Whether any flag is set (the SWAR OR-reduction).
+    /// Whether any flag is set: OR every word, compare once at the end.
     #[inline]
     #[must_use]
     pub fn any_set(&self) -> bool {
-        self.any_set_words()
-    }
-
-    /// Branch-free SWAR scan: OR every word, compare once at the end.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn any_set_words(&self) -> bool {
         self.words.iter().fold(0u64, |acc, &w| acc | w) != 0
-    }
-
-    /// Scalar reference for [`any_set`](LaneBits::any_set): tests each
-    /// lane individually.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn any_set_scalar(&self) -> bool {
-        (0..self.len).any(|i| self.get(i))
     }
 }
 
@@ -112,30 +92,31 @@ mod tests {
     }
 
     #[test]
-    fn swar_and_scalar_paths_agree() {
-        // Deterministic pseudo-random patterns across word-boundary sizes.
+    fn any_set_matches_a_bool_model() {
+        // Deterministic pseudo-random patterns across word-boundary
+        // sizes, mirrored into a plain `Vec<bool>`.
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         for len in [1usize, 63, 64, 65, 127, 128, 200] {
-            let mut a = LaneBits::new(len);
-            let mut b = LaneBits::new(len);
-            for i in 0..len {
+            let mut bits = LaneBits::new(len);
+            let mut model = vec![false; len];
+            for (i, flag) in model.iter_mut().enumerate() {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 if x & 1 == 1 {
-                    a.set(i);
-                    b.set(i);
+                    bits.set(i);
+                    *flag = true;
                 }
             }
-            assert_eq!(a.any_set_words(), b.any_set_scalar(), "len={len}");
+            assert_eq!(bits.any_set(), model.contains(&true), "len={len}");
             // Clear from the front: the scan must see the last set lane
-            // wherever it sits, on both paths.
+            // wherever it sits.
             for i in 0..len {
-                a.clear(i);
-                b.clear(i);
-                assert_eq!(a.any_set_words(), b.any_set_scalar(), "len={len} lane={i}");
+                bits.clear(i);
+                model[i] = false;
+                assert_eq!(bits.any_set(), model.contains(&true), "len={len} lane={i}");
             }
-            assert!(!a.any_set_words() && !b.any_set_scalar());
+            assert!(!bits.any_set());
         }
     }
 }

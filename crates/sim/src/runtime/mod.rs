@@ -13,7 +13,7 @@
 //! whole run.
 //!
 //! * [`mailbox`] — the flat-arena, stable counting-sort delivery;
-//! * [`lanes`] — the SWAR wake-flag bitset;
+//! * [`lanes`] — the wake-flag bitset;
 //! * [`batch`] — consecutive instances over recycled buffers, behind
 //!   [`Engine::run_batch`](crate::Engine::run_batch);
 //! * [`trials`] — the [`TrialRunner`] pool.
